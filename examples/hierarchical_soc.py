@@ -65,7 +65,7 @@ def main() -> None:
 
     for width in (16, 24, 32):
         plan = optimize_hierarchical(
-            "bigchip", children + top_cores, width, compression=True
+            "bigchip", children + top_cores, width, compression="per-core"
         )
         print(
             f"parent W={width:>2}: {plan.test_time:>9,} cycles on TAMs "

@@ -20,11 +20,11 @@ def main() -> None:
 
     width = 32
     for mode, label in (
-        (False, "without compression (Figure 4(a) style)"),
-        (True, "with per-core decompressors (the paper's proposal)"),
+        ("none", "without compression (Figure 4(a) style)"),
+        ("per-core", "with per-core decompressors (the paper's proposal)"),
         ("auto", "auto: each core keeps its faster option"),
     ):
-        plan = repro.optimize_soc(soc, width, compression=mode)
+        plan = repro.plan(soc, width, repro.RunConfig(compression=mode))
         print(f"--- {label} ---")
         print(
             f"test time: {plan.test_time} cycles | "
@@ -37,7 +37,7 @@ def main() -> None:
         print()
 
     # Inspect one core's configuration in the auto plan.
-    plan = repro.optimize_soc(soc, width, compression="auto")
+    plan = repro.plan(soc, width, repro.RunConfig(compression="auto"))
     config = plan.architecture.config_for("s38417")
     if config.uses_compression:
         print(

@@ -12,9 +12,13 @@ Quickstart::
     import repro
 
     soc = repro.load_design("d695")
-    plan = repro.optimize_soc(soc, tam_width=32, compression=True)
-    print(plan.test_time, plan.tam_widths)
-    print(plan.architecture.render_gantt())
+    result = repro.plan(soc, 32, repro.RunConfig(compression="per-core"))
+    print(result.test_time, result.tam_widths)
+    print(result.architecture.render_gantt())
+
+Every flow -- no TDC, per-TAM decompressors (Figure 4(b)), power and
+precedence constraints, rectangle packing -- is a different
+:class:`RunConfig` passed to the same :func:`plan` call.
 
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-versus-measured record of every table and figure.
@@ -45,12 +49,6 @@ from repro.explore.cache import AnalysisDiskCache, resolve_cache
 from repro.explore.dse import CoreAnalysis, analysis_for, analyze_soc_cores
 from repro.parallel import parallel_map, resolve_jobs
 from repro.core.architecture import TestArchitecture, DecompressorPlacement
-from repro.core.optimizer import (
-    OptimizeResult,
-    optimize_per_tam,
-    optimize_soc,
-    optimize_soc_constrained,
-)
 from repro.core.soclevel import optimize_soc_level_decompressor
 from repro.pipeline import (
     Pipeline,
@@ -116,15 +114,11 @@ __all__ = [
     "analysis_for",
     "TestArchitecture",
     "DecompressorPlacement",
-    "OptimizeResult",
     "PlanResult",
     "RunConfig",
     "RunEvent",
     "Pipeline",
     "plan",
-    "optimize_soc",
-    "optimize_soc_constrained",
-    "optimize_per_tam",
     "optimize_soc_level_decompressor",
     "decompressor_cost",
     "optimal_schedule",

@@ -3,7 +3,8 @@
 Examples::
 
     repro-soc plan d695 --width 32
-    repro-soc plan System1 --width 31 --no-compression --gantt
+    repro-soc plan System1 --width 31 --compression none --gantt
+    repro-soc plan d695 --width 16 --architecture packing --schedule packing
     repro-soc figure 2
     repro-soc table 3 --widths 16,32
     repro-soc describe System2
@@ -22,9 +23,13 @@ Every planning subcommand builds one
 :class:`~repro.pipeline.config.RunConfig` from the shared performance
 flags (``--jobs`` / ``--cache-dir`` / ``--no-cache``, with their
 ``REPRO_*`` environment equivalents applied at resolve time) and hands
-it to the staged pipeline.  ``--verbose`` surfaces the pipeline's
-structured run events on stderr via ``logging``; regular output stays
-on stdout.
+it to :func:`repro.pipeline.plan`.  ``plan``, ``verify`` and ``export``
+share the plan-request flags (``--compression``, ``--max-tams``,
+``--strategy``, ``--search-opt``, ``--architecture``, ``--schedule``,
+``--pack-opt``); a request no pipeline honours (say, a search strategy
+with the packing stages) exits 2 with the reason.  ``--verbose``
+surfaces the pipeline's structured run events on stderr via
+``logging``; regular output stays on stdout.
 """
 
 from __future__ import annotations
@@ -36,9 +41,10 @@ import sys
 
 from repro import obs
 from repro.core.architecture import architecture_summary
-from repro.pipeline import RunConfig
+from repro.pipeline import COMPRESSION_MODES, PlanResult, RunConfig
 from repro.pipeline import plan as run_plan
 from repro.soc.industrial import load_design
+from repro.soc.soc import Soc
 
 
 def _run_config(args: argparse.Namespace, **overrides: object) -> RunConfig:
@@ -68,59 +74,47 @@ def _configure_logging(verbosity: int) -> None:
     logger.setLevel(level)
 
 
-def _search_opts_from_args(args: argparse.Namespace) -> dict[str, str]:
-    """Collect --search-opt KEY=VALUE pairs (plus --study/--resume sugar)."""
+def _key_values(
+    items: list[str] | None, flag: str
+) -> tuple[tuple[str, str], ...]:
+    """Repeated ``FLAG KEY=VALUE`` arguments as sorted pairs."""
     opts: dict[str, str] = {}
-    for item in getattr(args, "search_opt", None) or []:
+    for item in items or []:
         key, sep, value = item.partition("=")
         if not sep or not key:
-            raise ValueError(
-                f"--search-opt expects KEY=VALUE, got {item!r}"
-            )
+            raise ValueError(f"{flag} expects KEY=VALUE, got {item!r}")
         opts[key.strip()] = value
-    if getattr(args, "study", None):
-        opts.setdefault("study", args.study)
-    if getattr(args, "resume", False):
-        opts.setdefault("resume", "true")
-    return opts
+    return tuple(sorted(opts.items()))
 
 
-def _pack_opts_from_args(args: argparse.Namespace) -> dict[str, str]:
-    """Collect --pack-opt KEY=VALUE pairs for the rectangle packer."""
-    opts: dict[str, str] = {}
-    for item in getattr(args, "pack_opt", None) or []:
-        key, sep, value = item.partition("=")
-        if not sep or not key:
-            raise ValueError(f"--pack-opt expects KEY=VALUE, got {item!r}")
-        opts[key.strip()] = value
-    return opts
+def _plan_request(
+    args: argparse.Namespace, **overrides: object
+) -> tuple[Soc, RunConfig, PlanResult]:
+    """The design, the config the plan-request flags ask for, and its plan.
+
+    Raises ``ValueError`` for a usage error: a malformed KEY=VALUE, a
+    config no pipeline honours, or a search/packer option the chosen
+    backend rejects.
+    """
+    config = _run_config(
+        args,
+        compression=args.compression,
+        max_tams=args.max_tams,
+        strategy=args.strategy,
+        search_opts=_key_values(args.search_opt, "--search-opt"),
+        architecture=args.architecture,
+        schedule=args.schedule,
+        pack_opts=_key_values(args.pack_opt, "--pack-opt"),
+        **overrides,
+    )
+    soc = load_design(args.design)
+    return soc, config, run_plan(soc, args.width, config)
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
-    soc = load_design(args.design)
-    compression = "none" if args.no_compression else args.compression
     try:
-        search_opts = _search_opts_from_args(args)
-        pack_opts = _pack_opts_from_args(args)
+        _, _, result = _plan_request(args, verify=args.verify)
     except ValueError as error:
-        print(str(error), file=sys.stderr)
-        return 2
-    config = _run_config(
-        args,
-        compression=compression,
-        max_tams=args.max_tams,
-        strategy=args.strategy,
-        search_opts=tuple(sorted(search_opts.items())),
-        architecture=args.architecture,
-        schedule=args.schedule,
-        pack_opts=tuple(sorted(pack_opts.items())),
-        verify=args.verify,
-    )
-    try:
-        result = run_plan(soc, args.width, config)
-    except ValueError as error:
-        # Backend option validation (unknown knob, bad value) is a usage
-        # error, same as a malformed --search-opt.
         print(str(error), file=sys.stderr)
         return 2
     print(architecture_summary(result.architecture))
@@ -196,9 +190,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_export(args: argparse.Namespace) -> int:
     from repro.reporting.export import result_to_json
 
-    soc = load_design(args.design)
-    config = _run_config(args, compression=args.compression)
-    result = run_plan(soc, args.width, config)
+    try:
+        _, _, result = _plan_request(args)
+    except ValueError as error:
+        print(str(error), file=sys.stderr)
+        return 2
     text = result_to_json(result)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -262,20 +258,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-        soc = load_design(args.design)
         try:
-            pack_opts = _pack_opts_from_args(args)
+            soc, config, result = _plan_request(args)
         except ValueError as error:
             print(str(error), file=sys.stderr)
             return 2
-        config = _run_config(
-            args,
-            compression=args.compression,
-            architecture=getattr(args, "architecture", "auto"),
-            schedule=getattr(args, "schedule", "auto"),
-            pack_opts=tuple(sorted(pack_opts.items())),
-        )
-        result = run_plan(soc, args.width, config)
         report = verify_plan(result, soc, config=config)
     print(report.summary())
     return 0 if report.ok else 1
@@ -419,6 +406,55 @@ def _add_client_args(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--port", type=int, default=DEFAULT_PORT)
 
 
+def _add_request_args(parser: argparse.ArgumentParser, *, compression: str) -> None:
+    """The plan-request flags: one :class:`RunConfig` field each."""
+    group = parser.add_argument_group("plan request")
+    group.add_argument(
+        "--compression", choices=COMPRESSION_MODES, default=compression
+    )
+    group.add_argument("--max-tams", type=int, default=None)
+    group.add_argument(
+        "--strategy",
+        choices=["auto", "exhaustive", "greedy", "anneal", "evolutionary"],
+        default="auto",
+        help="architecture-search backend (see docs/search.md)",
+    )
+    group.add_argument(
+        "--search-opt",
+        action="append",
+        metavar="KEY=VALUE",
+        default=None,
+        help="backend hyperparameter override, repeatable (e.g. "
+        "--search-opt iterations=8000 --search-opt seed=7, or "
+        "--search-opt study=PATH --search-opt resume=true for a "
+        "resumable evolutionary study); keys are validated against "
+        "the chosen backend",
+    )
+    group.add_argument(
+        "--architecture",
+        default="auto",
+        metavar="STAGE",
+        help="registered architecture (step-3) stage; 'packing' selects "
+        "the flexible-width rectangle packer (see docs/packing.md); "
+        "default: auto (compression/constraint routing)",
+    )
+    group.add_argument(
+        "--schedule",
+        default="auto",
+        metavar="STAGE",
+        help="registered schedule (step-4) stage; pair 'packing' with "
+        "--architecture packing; default: auto",
+    )
+    group.add_argument(
+        "--pack-opt",
+        action="append",
+        metavar="KEY=VALUE",
+        default=None,
+        help="rectangle-packer override, repeatable (heuristic="
+        "bottom-left|diagonal|auto, max_widths=N)",
+    )
+
+
 def _add_perf_args(parser: argparse.ArgumentParser) -> None:
     """Shared analysis-engine knobs (see docs/api.md, Performance & caching)."""
     group = parser.add_argument_group("performance")
@@ -480,64 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(e.g. synth150)",
     )
     plan.add_argument("--width", type=int, required=True, help="W_TAM budget")
-    plan.add_argument(
-        "--compression",
-        choices=["per-core", "none", "auto", "select"],
-        default="per-core",
-    )
-    plan.add_argument("--no-compression", action="store_true")
-    plan.add_argument("--max-tams", type=int, default=None)
-    plan.add_argument(
-        "--strategy",
-        choices=["auto", "exhaustive", "greedy", "anneal", "evolutionary"],
-        default="auto",
-        help="architecture-search backend (see docs/search.md)",
-    )
-    plan.add_argument(
-        "--search-opt",
-        action="append",
-        metavar="KEY=VALUE",
-        default=None,
-        help="backend hyperparameter override, repeatable (e.g. "
-        "--search-opt iterations=8000 --search-opt seed=7); keys are "
-        "validated against the chosen backend",
-    )
-    plan.add_argument(
-        "--architecture",
-        default="auto",
-        metavar="STAGE",
-        help="registered architecture (step-3) stage; 'packing' selects "
-        "the flexible-width rectangle packer (see docs/packing.md); "
-        "default: auto (compression/constraint routing)",
-    )
-    plan.add_argument(
-        "--schedule",
-        default="auto",
-        metavar="STAGE",
-        help="registered schedule (step-4) stage; pair 'packing' with "
-        "--architecture packing; default: auto",
-    )
-    plan.add_argument(
-        "--pack-opt",
-        action="append",
-        metavar="KEY=VALUE",
-        default=None,
-        help="rectangle-packer override, repeatable (heuristic="
-        "bottom-left|diagonal|auto, max_widths=N)",
-    )
-    plan.add_argument(
-        "--study",
-        metavar="PATH",
-        default=None,
-        help="evolutionary only: JSON study store checkpointed every "
-        "generation (shorthand for --search-opt study=PATH)",
-    )
-    plan.add_argument(
-        "--resume",
-        action="store_true",
-        help="evolutionary only: continue from the --study checkpoint "
-        "(shorthand for --search-opt resume=true)",
-    )
+    _add_request_args(plan, compression="per-core")
     plan.add_argument("--gantt", action="store_true", help="print a Gantt chart")
     plan.add_argument(
         "--verify",
@@ -557,35 +536,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument("--width", type=int, default=None, help="W_TAM budget")
     verify.add_argument(
-        "--compression",
-        choices=["per-core", "none", "auto", "select", "per-tam"],
-        default="per-core",
-    )
-    verify.add_argument(
         "--plan",
         default=None,
         metavar="FILE",
         help="verify an exported plan JSON instead of planning afresh",
     )
-    verify.add_argument(
-        "--architecture",
-        default="auto",
-        metavar="STAGE",
-        help="architecture stage to plan with (e.g. packing)",
-    )
-    verify.add_argument(
-        "--schedule",
-        default="auto",
-        metavar="STAGE",
-        help="schedule stage to plan with (e.g. packing)",
-    )
-    verify.add_argument(
-        "--pack-opt",
-        action="append",
-        metavar="KEY=VALUE",
-        default=None,
-        help="rectangle-packer override, repeatable",
-    )
+    _add_request_args(verify, compression="per-core")
     _add_perf_args(verify)
     verify.set_defaults(func=_cmd_verify)
 
@@ -620,11 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
     export = sub.add_parser("export", help="plan and export to JSON")
     export.add_argument("design")
     export.add_argument("--width", type=int, required=True)
-    export.add_argument(
-        "--compression",
-        choices=["per-core", "none", "auto", "select"],
-        default="auto",
-    )
+    _add_request_args(export, compression="auto")
     export.add_argument("--out", default=None, help="output path (default stdout)")
     _add_perf_args(export)
     export.set_defaults(func=_cmd_export)

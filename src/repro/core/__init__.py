@@ -9,15 +9,13 @@ top-level TAM width (or ATE channel budget), jointly choose
 
 so that the SOC test time is minimized.
 
-Entry points:
-
-* :func:`repro.core.optimizer.optimize_soc` -- the four-step heuristic
-  with or without TDC (per-core decompressors);
-* :func:`repro.core.optimizer.optimize_per_tam` -- the decompressor-per-
-  TAM alternative of Figure 4(b);
-* :func:`repro.core.soclevel.optimize_soc_level_decompressor` -- the
-  SOC-level ("virtual TAM") decompressor architecture used as the
-  stand-in for the paper's comparator [18].
+The four-step heuristic itself (with or without TDC, per-core or
+per-TAM decompressors, constrained or packed) runs through
+:func:`repro.pipeline.plan`; this package holds its building blocks
+(architecture model, partition enumeration, schedulers) plus
+:func:`repro.core.soclevel.optimize_soc_level_decompressor`, the
+SOC-level ("virtual TAM") decompressor architecture used as the
+stand-in for the paper's comparator [18].
 """
 
 from repro.core.architecture import (
@@ -29,13 +27,6 @@ from repro.core.architecture import (
 )
 from repro.core.scheduler import schedule_cores
 from repro.core.partition import iter_partitions, count_partitions
-from repro.core.optimizer import (
-    ConstrainedResult,
-    OptimizeResult,
-    optimize_per_tam,
-    optimize_soc,
-    optimize_soc_constrained,
-)
 from repro.core.soclevel import optimize_soc_level_decompressor
 from repro.core.hardware import decompressor_cost, DecompressorCost
 from repro.core.timeline import (
@@ -63,7 +54,6 @@ from repro.core.robust import (
     robust_plan,
     robust_search,
 )
-from repro.core.anneal import anneal_search
 from repro.core.bus import BusPlan, optimize_bus
 
 __all__ = [
@@ -75,11 +65,6 @@ __all__ = [
     "schedule_cores",
     "iter_partitions",
     "count_partitions",
-    "OptimizeResult",
-    "ConstrainedResult",
-    "optimize_soc",
-    "optimize_soc_constrained",
-    "optimize_per_tam",
     "optimize_soc_level_decompressor",
     "decompressor_cost",
     "DecompressorCost",
@@ -103,7 +88,6 @@ __all__ = [
     "evaluate_under_uncertainty",
     "robust_plan",
     "robust_search",
-    "anneal_search",
     "BusPlan",
     "optimize_bus",
 ]

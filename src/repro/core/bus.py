@@ -34,6 +34,10 @@ from repro.explore.dse import DEFAULT_GRID, Mode, analysis_for
 from repro.soc.soc import Soc
 
 
+#: The compression modes the bus planner models.
+_BUS_COMPRESSION = ("none", "per-core", "auto")
+
+
 @dataclass(frozen=True)
 class BusPlan:
     """A bus-based test transport plan."""
@@ -65,7 +69,7 @@ def optimize_bus(
     soc: Soc,
     bus_width: int,
     *,
-    compression: bool | str = True,
+    compression: str = "per-core",
     mode: Mode = "auto",
     samples: int = DEFAULT_SAMPLES,
     grid: int = DEFAULT_GRID,
@@ -73,13 +77,19 @@ def optimize_bus(
 ) -> BusPlan:
     """Plan a shared-bus test transport for ``soc``.
 
-    ``compression`` follows :func:`repro.core.optimizer.optimize_soc`
-    semantics (``True``/``False``/``"auto"``).
+    ``compression`` is "per-core" (every core decompresses), "none"
+    (the no-TDC baseline), or "auto" (a core bypasses its decompressor
+    when that is faster), as in :class:`repro.pipeline.RunConfig`.
     """
     if bus_width < 1:
         raise ValueError(f"bus width must be >= 1, got {bus_width}")
+    if compression not in _BUS_COMPRESSION:
+        raise ValueError(
+            f"unknown bus compression mode {compression!r}; "
+            f"expected one of {_BUS_COMPRESSION}"
+        )
     started = _time.perf_counter()
-    use_compression = compression not in (False, "none")
+    use_compression = compression != "none"
     auto = compression == "auto"
     analyses = {
         core.name: analysis_for(core, mode=mode, samples=samples, grid=grid)
@@ -175,9 +185,7 @@ def optimize_bus(
     return BusPlan(
         soc_name=soc.name,
         bus_width=bus_width,
-        compression="per-core" if use_compression and not auto else (
-            "auto" if auto else "none"
-        ),
+        compression=compression,
         rates=rates,
         schedule=best_schedule,
         lower_bound=bound,

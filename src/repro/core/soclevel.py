@@ -36,10 +36,10 @@ from repro.core.architecture import (
     Tam,
     TestArchitecture,
 )
-from repro.core.optimizer import OptimizeResult, optimize_soc
 from repro.compression.selective import GROUP_COPY_THRESHOLD, code_parameters
 from repro.compression.estimator import DEFAULT_SAMPLES
-from repro.explore.dse import DEFAULT_GRID, Mode, analysis_for
+from repro.explore.dse import DEFAULT_GRID, Mode
+from repro.pipeline import PlanResult, RunConfig, plan
 from repro.soc.soc import Soc
 from repro.wrapper.design import design_wrapper
 
@@ -89,7 +89,7 @@ def optimize_soc_level_decompressor(
     samples: int = DEFAULT_SAMPLES,
     grid: int = DEFAULT_GRID,
     max_tams: int | None = None,
-) -> OptimizeResult:
+) -> PlanResult:
     """Plan an SOC test with one chip-level decompressor.
 
     ``internal_width`` defaults to the widest internal TAM the code can
@@ -114,14 +114,16 @@ def optimize_soc_level_decompressor(
             f"{ate_channels} ATE channels (max {addressable})"
         )
 
-    internal = optimize_soc(
+    internal = plan(
         soc,
         internal_width,
-        compression=False,
-        mode=mode,
-        samples=samples,
-        grid=grid,
-        max_tams=max_tams,
+        RunConfig(
+            compression="none",
+            mode=mode,
+            samples=samples,
+            grid=grid,
+            max_tams=max_tams,
+        ),
     )
     group_bits, code_width = code_parameters(internal_width)
 
@@ -176,7 +178,7 @@ def optimize_soc_level_decompressor(
     )
     elapsed = _time.perf_counter() - started
 
-    return OptimizeResult(
+    return PlanResult(
         soc_name=soc.name,
         width_budget=ate_channels,
         compression="soc-level",

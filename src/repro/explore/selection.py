@@ -14,8 +14,8 @@ repository provides:
   (exact-analysis cores only: building a dictionary needs the actual
   cubes, so estimator-mode industrial cores fall back to the first two).
 
-The selected configuration plugs into the SOC optimizer via
-``optimize_soc(..., compression="select")``.
+The selected configuration plugs into the SOC planner via
+``plan(soc, W, RunConfig(compression="select"))``.
 
 Dictionary statistics (hit rates, compressed bits) depend only on the
 slice width ``m`` and the index width -- not on the TAM width, which

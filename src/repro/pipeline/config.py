@@ -1,14 +1,15 @@
 """The shared run configuration threading through every layer.
 
-Before this package existed, the co-optimization knobs (worker count,
-cache location, estimator samples, evaluation grid, compression mode,
-power budget, ...) were re-threaded by hand through ``optimize_soc``,
-``optimize_soc_constrained``, ``optimize_per_tam``, the experiment
-drivers, and the CLI -- three parallel keyword chains that drifted
-apart.  :class:`RunConfig` consolidates all of them into one frozen
-value object that the :class:`~repro.pipeline.pipeline.Pipeline`
-threads through its stages, the CLI builds once per invocation, and
-the experiment drivers forward verbatim.
+Every co-optimization knob (worker count, cache location, estimator
+samples, evaluation grid, compression mode, power budget, search
+backend, stage selection, ...) lives in one frozen value object that
+:func:`~repro.pipeline.pipeline.plan` routes to its stages, the CLI
+builds once per invocation, the planning service ships across
+processes, and the experiment drivers forward verbatim.
+
+A config also decides which registered architecture/schedule stages
+run it (:meth:`RunConfig.stage_names`), and refuses at construction
+any combination that those stages would silently ignore or crash on.
 """
 
 from __future__ import annotations
@@ -26,9 +27,11 @@ if TYPE_CHECKING:
     from repro.search.backend import BackendConfig
     from repro.soc.core import Core
 
-#: Accepted compression placements/modes.  The first four come from
-#: :func:`normalize_compression`; "per-tam" selects the Figure 4(b)
-#: flow and is set by :func:`repro.core.optimizer.optimize_per_tam`.
+#: Accepted compression placements/modes: "per-core" decompressors (the
+#: paper, Figure 4(c)), "none" (no TDC, Figure 4(a)), "auto" (a core
+#: bypasses its decompressor when that is faster), "select" (per-core
+#: technique selection), and "per-tam" (one decompressor per TAM, the
+#: Figure 4(b) flow).
 Compression = Literal["none", "per-core", "auto", "select", "per-tam"]
 
 COMPRESSION_MODES: tuple[str, ...] = (
@@ -43,19 +46,21 @@ COMPRESSION_MODES: tuple[str, ...] = (
 _UNSET: Any = object()
 
 
-def normalize_compression(compression: bool | str) -> Compression:
-    """Map the public ``compression`` argument to a canonical mode.
+#: The stage pairs that only work together: each architecture stage
+#: hands its schedule stage a private result.
+_PAIRED_STAGES = ("constrained", "per-tam", "packing")
 
-    ``True`` means the paper's per-core decompressors; ``False`` the
-    no-TDC baseline.  String modes pass through after validation.
-    """
-    if compression is True:
-        return "per-core"
-    if compression is False:
-        return "none"
-    if compression in ("none", "per-core", "auto", "select"):
-        return compression  # type: ignore[return-value]
-    raise ValueError(f"unknown compression mode {compression!r}")
+#: The optional request fields each built-in architecture stage honours.
+#: A config setting a field its stage does not honour is rejected, so a
+#: plan never silently drops a budget, a search backend or a packer knob.
+#: Stages registered by other code are not checked.
+_HONOURED: dict[str, frozenset[str]] = {
+    "partition": frozenset({"strategy", "search_opts", "power_of"}),
+    "robust": frozenset({"strategy", "search_opts"}),
+    "constrained": frozenset({"power_budget", "power_of", "precedence"}),
+    "per-tam": frozenset(),
+    "packing": frozenset({"pack_opts"}),
+}
 
 
 @dataclass(frozen=True)
@@ -66,16 +71,18 @@ class RunConfig:
 
     * **what to plan** -- ``compression`` (mode/placement), the
       partition-search controls ``max_tams`` / ``min_tam_width`` /
-      ``strategy``, the per-TAM flow's ``min_code_width``, and the
-      explicit stage selection ``architecture`` / ``schedule``
-      (registry names such as ``"packing"``; ``"auto"`` keeps the
-      built-in routing) with ``pack_opts`` carrying the rectangle
-      packer's knobs;
+      ``strategy`` (the :mod:`repro.search` backend) with
+      ``search_opts`` carrying its hyperparameters, the per-TAM
+      flow's ``min_code_width``, and the explicit stage selection
+      ``architecture`` / ``schedule`` (registry names such as
+      ``"packing"``; ``"auto"`` keeps the built-in routing) with
+      ``pack_opts`` carrying the rectangle packer's knobs;
     * **analysis fidelity** -- ``mode`` / ``samples`` / ``grid``,
       passed to the per-core design-space exploration;
     * **constraints** -- ``power_budget`` / ``power_of`` /
       ``precedence`` (the constrained scheduler engages when any is
-      set);
+      set; ``power_of`` alone also feeds the multi-objective search
+      backends of an explicit ``architecture="partition"``);
     * **performance** -- ``jobs`` worker processes and the persistent
       analysis cache knobs ``cache_dir`` / ``use_cache`` (environment
       overrides ``REPRO_JOBS`` / ``REPRO_CACHE_DIR`` /
@@ -88,6 +95,8 @@ class RunConfig:
       of being returned.
 
     The object is frozen: derive variants with :meth:`replace`.
+    Construction raises ``ValueError`` for a combination no pipeline
+    honours (see :meth:`stage_names`).
     """
 
     compression: Compression = "per-core"
@@ -141,6 +150,64 @@ class RunConfig:
                 sorted((str(k), str(v)) for k, v in dict(self.pack_opts).items())
             ),
         )
+        self._check_stages()
+
+    def stage_names(self) -> tuple[str, str]:
+        """The registered ``(architecture, schedule)`` stages that plan this.
+
+        Explicit ``architecture`` / ``schedule`` names win, an ``"auto"``
+        side falling back to the standard flow's stage.  Otherwise
+        ``compression="per-tam"`` routes to the Figure 4(b) stages, any
+        constraint field to the constrained stages, and everything else
+        to the paper's partition search and list scheduler.
+        """
+        if self.architecture != "auto" or self.schedule != "auto":
+            return (
+                "partition" if self.architecture == "auto" else self.architecture,
+                "list" if self.schedule == "auto" else self.schedule,
+            )
+        if self.compression == "per-tam":
+            return ("per-tam", "per-tam")
+        if self.is_constrained:
+            return ("constrained", "constrained")
+        return ("partition", "list")
+
+    def _check_stages(self) -> None:
+        """Reject a config its stages would ignore in part or crash on."""
+        architecture, schedule = self.stage_names()
+        for name in _PAIRED_STAGES:
+            if (architecture == name) != (schedule == name):
+                raise ValueError(
+                    f"the {name} architecture and schedule stages must be "
+                    "selected together (the schedule stage materializes "
+                    "the architecture stage's plan)"
+                )
+        if (self.compression == "per-tam") != (architecture == "per-tam"):
+            raise ValueError(
+                "compression='per-tam' and the per-tam stages only plan "
+                f"together (compression={self.compression!r}, architecture "
+                f"stage {architecture!r})"
+            )
+        honoured = _HONOURED.get(architecture)
+        if honoured is None:
+            return
+        requested = {
+            "strategy": self.strategy != "auto",
+            "search_opts": bool(self.search_opts),
+            "power_budget": self.power_budget is not None,
+            "power_of": self.power_of is not None,
+            "precedence": bool(self.precedence),
+            "pack_opts": bool(self.pack_opts),
+        }
+        ignored = sorted(
+            field for field, is_set in requested.items()
+            if is_set and field not in honoured
+        )
+        if ignored:
+            raise ValueError(
+                f"the {architecture} flow does not honour "
+                f"{', '.join(ignored)}; no pipeline plans this config"
+            )
 
     # ------------------------------------------------------------------
 

@@ -7,13 +7,10 @@ brackets every stage with start/end events, collects per-stage wall
 clock, and folds the final context into a
 :class:`~repro.pipeline.result.PlanResult`.
 
-:func:`plan` is the one-call entry point: it routes a
-:class:`~repro.pipeline.config.RunConfig` to the matching built-in
-flavor (standard / constrained / per-TAM) and runs it.  The
-pre-pipeline entry points ``optimize_soc`` /
-``optimize_soc_constrained`` / ``optimize_per_tam`` are thin wrappers
-over these flavors and remain bit-identical to their original
-implementations (differentially tested).
+:func:`plan` is the one entry point for a plan: it builds the
+pipeline :func:`pipeline_for` assembles from the registered stages a
+:class:`~repro.pipeline.config.RunConfig` names
+(:meth:`~repro.pipeline.config.RunConfig.stage_names`) and runs it.
 """
 
 from __future__ import annotations
@@ -43,25 +40,6 @@ class Pipeline:
             raise ValueError("a pipeline needs at least one stage")
         self.stages = tuple(stages)
         self.name = name
-
-    # ------------------------------------------------------------------
-    # Built-in flavors.
-    # ------------------------------------------------------------------
-
-    @classmethod
-    def standard(cls) -> "Pipeline":
-        """The paper's four-step flow (Figure 4(a)/(c), Tables 1-3)."""
-        return cls.from_registry("partition", "list", name="standard")
-
-    @classmethod
-    def constrained(cls) -> "Pipeline":
-        """Exhaustive partitioning + power/precedence-aware scheduling."""
-        return cls.from_registry("constrained", "constrained", name="constrained")
-
-    @classmethod
-    def per_tam(cls) -> "Pipeline":
-        """Figure 4(b): one decompressor per TAM, shared expanded width."""
-        return cls.from_registry("per-tam", "per-tam", name="per-tam")
 
     @classmethod
     def from_registry(
@@ -204,33 +182,27 @@ def _event_bridge(active: obs.Observability) -> EventSink:
     return bridge
 
 
-def pipeline_for(config: RunConfig) -> Pipeline:
-    """The built-in pipeline flavor matching a configuration.
+#: Names of the built-in flows, by their ``(architecture, schedule)``
+#: stages: the paper's four-step flow (Figure 4(a)/(c), Tables 1-3),
+#: exhaustive partitioning with power/precedence-aware scheduling, and
+#: Figure 4(b)'s one decompressor per TAM.  Other selections are named
+#: ``"<architecture>+<schedule>"``.
+_FLOW_NAMES = {
+    ("partition", "list"): "standard",
+    ("constrained", "constrained"): "constrained",
+    ("per-tam", "per-tam"): "per-tam",
+}
 
-    ``config.architecture`` / ``config.schedule`` (when not ``"auto"``)
-    select registered step-3/4 stages explicitly -- the packing flow is
-    ``architecture="packing", schedule="packing"`` -- overriding the
-    compression/constraint routing.  ``config.verify`` appends the
-    registered verify stage, so the plan is independently re-checked
-    before it leaves the pipeline.
+
+def pipeline_for(config: RunConfig) -> Pipeline:
+    """The pipeline that plans ``config``.
+
+    The stages are the registered ones :meth:`RunConfig.stage_names`
+    names; ``config.verify`` appends the registered verify stage, so
+    the plan is independently re-checked before it leaves the pipeline.
     """
-    if config.architecture != "auto" or config.schedule != "auto":
-        if (config.architecture == "packing") != (config.schedule == "packing"):
-            raise ValueError(
-                "the packing architecture and schedule stages must be "
-                "selected together (the schedule stage materializes the "
-                "architecture stage's packed plan)"
-            )
-        flavor = Pipeline.from_registry(
-            config.architecture if config.architecture != "auto" else "partition",
-            config.schedule if config.schedule != "auto" else "list",
-        )
-    elif config.compression == "per-tam":
-        flavor = Pipeline.per_tam()
-    elif config.is_constrained:
-        flavor = Pipeline.constrained()
-    else:
-        flavor = Pipeline.standard()
+    stages = config.stage_names()
+    flavor = Pipeline.from_registry(*stages, name=_FLOW_NAMES.get(stages))
     if config.verify:
         return Pipeline(
             flavor.stages + (stage_factory("verify", "invariants")(),),

@@ -20,10 +20,11 @@ The paper's heuristic is a four-step flow; each step is a
 
 Architecture and schedule stages are pluggable through a registry
 (:func:`register_stage` / :func:`stage_factory`), so alternative
-partitioners and schedulers -- the annealer in
-:mod:`repro.core.anneal`, the robust search in
-:mod:`repro.core.robust`, bin-packing experiments -- drop in as stages
-instead of forking the whole flow.
+partitioners and schedulers -- the robust search in
+:mod:`repro.core.robust`, the rectangle packer in :mod:`repro.pack` --
+drop in as stages instead of forking the whole flow.  The search
+backend inside the partition stage is not a stage: it is chosen by
+``RunConfig.strategy`` (see :mod:`repro.search`).
 """
 
 from __future__ import annotations
@@ -184,12 +185,6 @@ class ArchitectureStage(Stage):
 
     name = "architecture"
 
-    def __init__(self, strategy: str | None = None) -> None:
-        #: When set, overrides ``config.strategy`` (the registry uses
-        #: this to expose "exhaustive"/"greedy"/"anneal"/"evolutionary"
-        #: as stages).
-        self.strategy = strategy
-
     def run(self, ctx: PlanContext) -> None:
         config = ctx.config
         tables = _require_tables(ctx, self.name)
@@ -203,16 +198,14 @@ class ArchitectureStage(Stage):
             if power_map is not None
             else None
         )
-        with obs.span(
-            "search", strategy=self.strategy or config.strategy
-        ) as attrs:
+        with obs.span("search", strategy=config.strategy) as attrs:
             search = run_search(
                 ctx.names,
                 ctx.width_budget,
                 tables.time_of,
                 max_parts=config.max_tams,
                 min_width=config.min_tam_width,
-                strategy=self.strategy or config.strategy,
+                strategy=config.strategy,
                 options=config.search_options(),
                 volume_of=volume_of,
                 power_of=power_of,
@@ -695,20 +688,6 @@ def available_stages(slot: str | None = None) -> dict[str, tuple[str, ...]]:
 
 
 register_stage("architecture", "partition", ArchitectureStage)
-register_stage(
-    "architecture", "exhaustive", lambda: ArchitectureStage(strategy="exhaustive")
-)
-register_stage(
-    "architecture", "greedy", lambda: ArchitectureStage(strategy="greedy")
-)
-register_stage(
-    "architecture", "anneal", lambda: ArchitectureStage(strategy="anneal")
-)
-register_stage(
-    "architecture",
-    "evolutionary",
-    lambda: ArchitectureStage(strategy="evolutionary"),
-)
 register_stage("architecture", "constrained", ConstrainedArchitectureStage)
 register_stage("architecture", "per-tam", PerTamArchitectureStage)
 register_stage("architecture", "robust", RobustArchitectureStage)

@@ -1,6 +1,6 @@
 """Simulated-annealing backend over the joint (partition, assignment) space.
 
-Behaviorally the pre-refactor ``repro/core/anneal.py`` with exactly one
+Behaviorally the original annealer search with exactly one
 intentional change, shipped as its own fix: the temperature now cools
 **once per iteration**.  The historical loop hit ``continue`` on
 invalid moves *before* ``temperature *= cooling``, so the effective

@@ -11,9 +11,9 @@ the same architecture.
 :class:`SearchSpace` is the clamped, validated search domain.
 :func:`resolve_search_space` is the **one** place the
 ``max_parts`` / ``min_width`` clamp-and-validate logic lives; it used
-to be copy-pasted (and subtly divergent: ``anneal_search`` silently
-clamped ``max_parts=0`` to 1 where ``search_partitions`` raised)
-between ``repro.core.partition`` and ``repro.core.anneal``.
+to be copy-pasted (and subtly divergent: the annealer silently clamped
+``max_parts=0`` to 1 where the exhaustive search raised) between the
+search strategies.
 """
 
 from __future__ import annotations
@@ -111,9 +111,8 @@ def resolve_search_space(
 ) -> SearchSpace:
     """Clamp and validate the search controls into a :class:`SearchSpace`.
 
-    Shared by every entry point (``search_partitions``, the annealer
-    shim, the pipeline's architecture stages), so the rules cannot
-    drift again:
+    Shared by :func:`~repro.search.backend.run_search` and the
+    pipeline's architecture stages, so the rules cannot drift again:
 
     * ``max_parts`` defaults to ``min(num_cores, 6)`` (the paper never
       needs more TAMs than cores, and caps the enumeration at 6);

@@ -4,8 +4,8 @@ A *study* is the full restartable state of one evolutionary search:
 the RNG state (NumPy bit-generator state, JSON-safe), the current
 population with its fitness, the best state seen, the evaluation
 count, and a per-generation history.  Saving after every generation
-makes ``--resume`` exact: running 5 generations, saving, and resuming
-for 5 more is bit-identical to running 10 straight (pinned by
+makes resuming (``resume=true``) exact: running 5 generations, saving,
+and resuming for 5 more is bit-identical to running 10 straight (pinned by
 ``tests/test_search_evolutionary.py``).
 
 The file is a single JSON document with ``kind: "search-study"`` and a

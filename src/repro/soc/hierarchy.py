@@ -43,13 +43,14 @@ class ChildSocCore:
     soc:
         The child design.
     compression:
-        Compression mode used *inside* the child when its plan is built.
+        Compression mode (a :class:`repro.pipeline.RunConfig` mode) used
+        *inside* the child when its plan is built.
     max_tams:
         TAM count limit for the child's internal architecture.
     """
 
     soc: Soc
-    compression: Union[bool, str] = True
+    compression: str = "per-core"
     max_tams: int | None = None
     _envelope: dict[int, tuple[int, int]] = field(default_factory=dict)
 
@@ -63,13 +64,12 @@ class ChildSocCore:
             raise ValueError(f"width must be >= 1, got {width}")
         cached = self._envelope.get(width)
         if cached is None:
-            from repro.core.optimizer import optimize_soc
+            from repro.pipeline import RunConfig, plan
 
-            result = optimize_soc(
+            result = plan(
                 self.soc,
                 width,
-                compression=self.compression,
-                max_tams=self.max_tams,
+                RunConfig(compression=self.compression, max_tams=self.max_tams),
             )
             cached = (result.test_time, result.test_data_volume)
             self._envelope[width] = cached
@@ -110,7 +110,7 @@ def optimize_hierarchical(
     members: Sequence[Member],
     tam_width: int,
     *,
-    compression: Union[bool, str] = True,
+    compression: str = "per-core",
     max_tams: int | None = None,
     min_tam_width: int = 1,
 ) -> HierarchicalPlan:
@@ -118,11 +118,14 @@ def optimize_hierarchical(
 
     Children are treated as monolithic tests whose duration depends on
     the width of the TAM they are granted (their internal plan);
-    ordinary cores go through the usual per-core lookup.  The parent
-    search enumerates TAM partitions and list-schedules the members.
+    ordinary cores go through the usual per-core lookup under
+    ``compression`` ("per-core", "none" or "auto").  The parent search
+    enumerates TAM partitions and list-schedules the members.
     """
     if not members:
         raise ValueError("cannot plan an empty hierarchy")
+    if compression not in ("none", "per-core", "auto"):
+        raise ValueError(f"unknown compression mode {compression!r}")
     if tam_width < 1:
         raise ValueError(f"TAM width must be >= 1, got {tam_width}")
     names = []
@@ -140,20 +143,19 @@ def optimize_hierarchical(
         for member in members
         if isinstance(member, Core)
     }
-    comp = compression if compression is not True else "per-core"
 
     def time_of(label: str, width: int) -> int:
         member = by_name[label]
         if isinstance(member, ChildSocCore):
             return member.test_time(width)
         analysis = analyses[label]
-        if comp == "none" or comp is False:
+        if compression == "none":
             return analysis.uncompressed_point(width).test_time
         best = analysis.best_compressed_for_tam(width)
         plain = analysis.uncompressed_point(width).test_time
         if best is None:
             return plain
-        if comp == "auto":
+        if compression == "auto":
             return min(best.test_time, plain)
         return best.test_time
 
@@ -162,11 +164,11 @@ def optimize_hierarchical(
         if isinstance(member, ChildSocCore):
             return member.volume(width)
         analysis = analyses[label]
-        if comp == "none" or comp is False:
+        if compression == "none":
             return analysis.uncompressed_point(width).volume
         best = analysis.best_compressed_for_tam(width)
         if best is None or (
-            comp == "auto"
+            compression == "auto"
             and analysis.uncompressed_point(width).test_time < best.test_time
         ):
             return analysis.uncompressed_point(width).volume
@@ -202,10 +204,10 @@ def optimize_hierarchical(
             code_width = None
             chains = width
         else:
-            compressed = comp not in ("none", False) and _core_compressed(
-                member, width, analyses, comp
+            compressed = compression != "none" and _core_compressed(
+                member, width, analyses, compression
             )
-            code_width = _code_width(member, width, analyses, comp)
+            code_width = _code_width(member, width, analyses, compression)
             if compressed:
                 chains = analyses[label].best_compressed_for_tam(width).m
             else:
@@ -227,7 +229,7 @@ def optimize_hierarchical(
     architecture = TestArchitecture(
         soc_name=name,
         placement=DecompressorPlacement.PER_CORE
-        if comp not in ("none", False)
+        if compression != "none"
         else DecompressorPlacement.NONE,
         tams=tams,
         scheduled=tuple(scheduled),
@@ -239,17 +241,17 @@ def optimize_hierarchical(
     return HierarchicalPlan(architecture=architecture, child_names=children)
 
 
-def _core_compressed(member: Core, width: int, analyses, comp) -> bool:
+def _core_compressed(member: Core, width: int, analyses, compression) -> bool:
     analysis = analyses[member.name]
     best = analysis.best_compressed_for_tam(width)
     if best is None:
         return False
-    if comp == "auto":
+    if compression == "auto":
         return best.test_time < analysis.uncompressed_point(width).test_time
     return True
 
 
-def _code_width(member: Core, width: int, analyses, comp):
-    if not _core_compressed(member, width, analyses, comp):
+def _code_width(member: Core, width: int, analyses, compression):
+    if not _core_compressed(member, width, analyses, compression):
         return None
     return analyses[member.name].best_compressed_for_tam(width).code_width

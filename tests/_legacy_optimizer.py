@@ -3,7 +3,8 @@
 This is the co-optimization flow exactly as it stood before
 ``repro.pipeline`` existed (module docstring below unchanged).  The
 differential tests in ``test_differential_pipeline.py`` run it next to
-the pipeline-backed entry points and require bit-identical plans.  Do
+``repro.pipeline.plan`` and require bit-identical plans.  Its partition
+search is the frozen pre-backend search of ``_legacy_search.py``.  Do
 not "fix" or modernize this file -- its value is that it does not move.
 
 The paper's co-optimization flow (section 3).
@@ -20,13 +21,13 @@ Four steps, per SOC and width budget:
 4. *Test scheduling* -- longest-first list scheduling onto the TAMs
    (``repro.core.scheduler``).
 
-:func:`optimize_soc` runs the flow with per-core decompressors (the
+:func:`legacy_optimize_soc` runs the flow with per-core decompressors (the
 paper's proposal, Figure 4(c)), without TDC (Figure 4(a)), or in an
 "auto" mode (our extension) that lets each core bypass its decompressor
 when compression does not pay -- relevant for the high-care-density
 academic benchmarks.
 
-:func:`optimize_per_tam` implements the Figure 4(b) alternative: one
+:func:`legacy_optimize_per_tam` implements the Figure 4(b) alternative: one
 decompressor per TAM, shared by every core on that TAM, so all of them
 must use the same expanded width ``M_j``.
 """
@@ -42,7 +43,8 @@ from repro.core.architecture import (
     DecompressorPlacement,
     TestArchitecture,
 )
-from repro.core.partition import PartitionSearchResult, iter_partitions, search_partitions
+from _legacy_search import legacy_search_partitions as search_partitions
+from repro.core.partition import PartitionSearchResult, iter_partitions
 from repro.core.scheduler import build_architecture, schedule_cores
 from repro.explore.cache import AnalysisDiskCache, resolve_cache
 from repro.explore.dse import (
@@ -178,7 +180,7 @@ class _LookupTables:
         return self._pick(name, width)
 
 
-def optimize_soc(
+def legacy_optimize_soc(
     soc: Soc,
     tam_width: int,
     *,
@@ -273,7 +275,7 @@ def optimize_soc(
 # ---------------------------------------------------------------------------
 
 
-def optimize_soc_constrained(
+def legacy_optimize_soc_constrained(
     soc: Soc,
     tam_width: int,
     *,
@@ -292,7 +294,7 @@ def optimize_soc_constrained(
 ) -> "ConstrainedResult":
     """Co-optimization under a power budget and/or precedence constraints.
 
-    Like :func:`optimize_soc` but schedules with
+    Like :func:`legacy_optimize_soc` but schedules with
     :func:`repro.core.timeline.schedule_constrained`, which may insert
     TAM idle time to respect the constraints.  When ``power_budget`` is
     given and ``power_of`` is not, per-core flat power comes from
@@ -414,7 +416,7 @@ def _shared_m_config(analysis: CoreAnalysis, shared_m: int) -> CoreConfig:
     )
 
 
-def optimize_per_tam(
+def legacy_optimize_per_tam(
     soc: Soc,
     ate_channels: int,
     *,

@@ -155,7 +155,7 @@ class TestRatioRule:
 class TestOnRealPlan:
     def test_d695_plan_improves(self):
         soc = repro.load_design("d695")
-        plan = repro.optimize_soc(soc, 16, compression=False)
+        plan = repro.plan(soc, 16, repro.RunConfig(compression="none"))
         probs = {name: 0.02 + 0.01 * i for i, name in enumerate(soc.core_names)}
         before, after, reordered = expected_improvement(plan.architecture, probs)
         assert after <= before

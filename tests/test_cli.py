@@ -12,11 +12,11 @@ class TestParser:
 
     def test_plan_args(self):
         args = build_parser().parse_args(
-            ["plan", "d695", "--width", "16", "--no-compression", "--gantt"]
+            ["plan", "d695", "--width", "16", "--compression", "none", "--gantt"]
         )
         assert args.design == "d695"
         assert args.width == 16
-        assert args.no_compression and args.gantt
+        assert args.compression == "none" and args.gantt
 
 
 class TestCommands:
@@ -26,14 +26,14 @@ class TestCommands:
         assert "d695" in out and "s5378" in out
 
     def test_plan_small(self, capsys):
-        assert main(["plan", "d695", "--width", "8", "--no-compression"]) == 0
+        assert main(["plan", "d695", "--width", "8", "--compression", "none"]) == 0
         out = capsys.readouterr().out
         assert "test time=" in out
         assert "partitions evaluated" in out
 
     def test_plan_with_gantt(self, capsys):
         code = main(
-            ["plan", "d695", "--width", "8", "--no-compression", "--gantt"]
+            ["plan", "d695", "--width", "8", "--compression", "none", "--gantt"]
         )
         assert code == 0
         assert "TAM0" in capsys.readouterr().out

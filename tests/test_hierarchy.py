@@ -81,7 +81,7 @@ class TestOptimizeHierarchical:
     def test_flat_equals_hierarchy_of_one_level(self, child_soc):
         """Planning the child standalone = its envelope at full width."""
         child = ChildSocCore(child_soc)
-        flat = repro.optimize_soc(child_soc, 10, compression=True)
+        flat = repro.plan(child_soc, 10, repro.RunConfig(compression="per-core"))
         assert child.test_time(10) == flat.test_time
 
     def test_duplicate_names_rejected(self, child_soc):
@@ -94,6 +94,13 @@ class TestOptimizeHierarchical:
         with pytest.raises(ValueError):
             optimize_hierarchical("p", [], 8)
 
+    def test_boolean_compression_rejected(self, child_soc):
+        members = [_leaf("top1", 10, 9)]
+        with pytest.raises(ValueError, match="compression"):
+            optimize_hierarchical("p", members, 8, compression=True)
+        with pytest.raises(ValueError, match="compression"):
+            ChildSocCore(child_soc, compression=False).plan_at(8)
+
     def test_wider_parent_never_slower(self, child_soc):
         members = [ChildSocCore(child_soc), _leaf("top1", 10, 9)]
         narrow = optimize_hierarchical("p", members, 8)
@@ -102,7 +109,7 @@ class TestOptimizeHierarchical:
 
     def test_no_compression_mode(self, child_soc):
         members = [
-            ChildSocCore(child_soc, compression=False),
+            ChildSocCore(child_soc, compression="none"),
             _leaf("top1", 10, 9),
         ]
         plan = optimize_hierarchical("p", members, 12, compression="none")

@@ -6,7 +6,6 @@ import pytest
 
 from repro.core.robust import robust_plan
 from repro.pipeline import (
-    ArchitectureStage,
     DecompressorStage,
     LookupTables,
     Pipeline,
@@ -16,7 +15,6 @@ from repro.pipeline import (
     Stage,
     WrapperStage,
     available_stages,
-    normalize_compression,
     pipeline_for,
     plan,
     register_stage,
@@ -45,11 +43,10 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="min_tam_width"):
             RunConfig(min_tam_width=0)
 
-    def test_normalize_compression_bools(self):
-        assert normalize_compression(True) == "per-core"
-        assert normalize_compression(False) == "none"
-        with pytest.raises(ValueError, match="compression"):
-            normalize_compression("bogus")
+    def test_rejects_boolean_compression(self):
+        for flag in (True, False):
+            with pytest.raises(ValueError, match="compression"):
+                RunConfig(compression=flag)
 
     def test_precedence_normalized_to_tuples(self):
         config = RunConfig(precedence=[["a", "b"], ("c", "d")])
@@ -125,13 +122,15 @@ class TestPipelineRouting:
 class TestStageRegistry:
     def test_builtin_stages_registered(self):
         stages = available_stages()
-        assert "partition" in stages["architecture"]
-        assert "anneal" in stages["architecture"]
-        assert "constrained" in stages["architecture"]
-        assert "per-tam" in stages["architecture"]
-        assert "robust" in stages["architecture"]
-        assert "list" in stages["schedule"]
-        assert "constrained" in stages["schedule"]
+        # Search backends are not stages: RunConfig.strategy picks them.
+        assert stages["architecture"] == (
+            "constrained",
+            "packing",
+            "partition",
+            "per-tam",
+            "robust",
+        )
+        assert stages["schedule"] == ("constrained", "list", "packing", "per-tam")
 
     def test_unknown_slot_rejected(self):
         with pytest.raises(ValueError, match="slot"):
@@ -148,9 +147,9 @@ class TestStageRegistry:
             name = "architecture"
 
             def run(self, ctx):
-                from repro.core.partition import search_partitions
+                from repro.search import run_search
 
-                ctx.search = search_partitions(
+                ctx.search = run_search(
                     ctx.names,
                     ctx.width_budget,
                     ctx.tables.time_of,
@@ -172,8 +171,7 @@ class TestStageRegistry:
         assert "single-tam" not in available_stages()["architecture"]
 
     def test_anneal_stage_produces_valid_plan(self, tiny_soc):
-        pipeline = Pipeline.from_registry("anneal", "list")
-        result = pipeline.run(tiny_soc, 8, RunConfig(compression="auto"))
+        result = plan(tiny_soc, 8, RunConfig(compression="auto", strategy="anneal"))
         assert result.strategy == "anneal"
         assert result.test_time > 0
         assert sum(result.tam_widths) <= 8
@@ -182,10 +180,8 @@ class TestStageRegistry:
         """Auto resolves to exhaustive at this size: same plan either way."""
         config = RunConfig(compression="auto")
         via_auto = plan(tiny_soc, 8, config)
-        via_registry = Pipeline.from_registry("exhaustive", "list").run(
-            tiny_soc, 8, config
-        )
-        assert via_registry.architecture == via_auto.architecture
+        via_strategy = plan(tiny_soc, 8, config.replace(strategy="exhaustive"))
+        assert via_strategy.architecture == via_auto.architecture
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 import pytest
 
 import repro
-from repro.core.optimizer import optimize_soc_constrained
+from repro.pipeline import RunConfig, plan
 from repro.power.model import power_table
 from repro.reporting.profile import (
     peak_power,
@@ -31,7 +31,7 @@ def planned():
         for i in range(3)
     )
     soc = Soc(name="prof", cores=cores)
-    return soc, repro.optimize_soc(soc, 10, compression=True)
+    return soc, repro.plan(soc, 10, repro.RunConfig(compression="per-core"))
 
 
 class TestUtilization:
@@ -151,11 +151,9 @@ class TestPowerProfile:
         soc = Soc(name="pp", cores=cores)
         table = power_table(soc, compression=True)
         budget = sum(table.values())  # loose
-        plan = optimize_soc_constrained(
-            soc, 9, compression=True, power_budget=budget
-        )
-        profile = power_profile(plan.architecture, table)
-        assert peak_power(profile) == pytest.approx(plan.peak_power)
+        result = plan(soc, 9, RunConfig(power_budget=budget))
+        profile = power_profile(result.architecture, table)
+        assert peak_power(profile) == pytest.approx(result.peak_power)
 
     def test_levels_never_negative(self, planned):
         soc, plan = planned

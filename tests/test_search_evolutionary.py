@@ -369,7 +369,7 @@ class TestManyCoreEndToEnd:
 
 
 # ----------------------------------------------------------------------
-# CLI surface: --strategy evolutionary, --search-opt, --study/--resume.
+# CLI surface: --strategy evolutionary, --search-opt (incl. study/resume).
 # ----------------------------------------------------------------------
 
 
@@ -381,13 +381,13 @@ class TestCli:
             "--strategy", "evolutionary",
             "--search-opt", "generations=2",
             "--search-opt", "population=6",
-            "--study", str(study),
+            "--search-opt", f"study={study}",
         ]
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert "(evolutionary)" in out
         assert study.exists()
-        assert main(argv + ["--resume"]) == 0
+        assert main(argv + ["--search-opt", "resume=true"]) == 0
 
     def test_malformed_search_opt_is_a_usage_error(self, capsys):
         code = main(

@@ -24,24 +24,34 @@ class TestRunConfigRoundTrip:
         assert RunConfig.from_dict(config.to_dict()) == config
 
     def test_every_field_round_trips(self):
-        config = RunConfig(
-            compression="select",
-            mode="estimate",
-            samples=3,
-            grid=5,
-            max_tams=3,
-            min_tam_width=2,
-            min_code_width=4,
-            strategy="greedy",
-            power_budget=123.5,
-            power_of={"c1": 10.0, "c2": 20.0},
-            precedence=(("c1", "c2"),),
-            jobs=4,
-            cache_dir="/tmp/x",
-            use_cache=False,
-        )
-        rebuilt = RunConfig.from_dict(config.to_dict())
-        assert rebuilt == config
+        # No single flow honours every field (the constrained flow takes
+        # no search strategy, only packing takes pack_opts), so three
+        # configs cover them between them.
+        configs = [
+            RunConfig(
+                compression="select",
+                mode="estimate",
+                samples=3,
+                grid=5,
+                max_tams=3,
+                min_tam_width=2,
+                min_code_width=4,
+                power_budget=123.5,
+                power_of={"c1": 10.0, "c2": 20.0},
+                precedence=(("c1", "c2"),),
+                jobs=4,
+                cache_dir="/tmp/x",
+                use_cache=False,
+            ),
+            RunConfig(strategy="greedy", search_opts={"seed": 3}, verify=True),
+            RunConfig(
+                architecture="packing",
+                schedule="packing",
+                pack_opts={"heuristic": "diagonal"},
+            ),
+        ]
+        for config in configs:
+            assert RunConfig.from_dict(config.to_dict()) == config
 
     def test_dict_is_json_ready(self):
         config = RunConfig(precedence=(("a", "b"),), power_of={"a": 1.0})
