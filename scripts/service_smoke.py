@@ -9,6 +9,8 @@ the service's whole contract in one pass:
 * the three duplicates coalesce onto one job (``jobs_deduped >= 2``),
 * fewer executions than submissions (``jobs_submitted == 6``),
 * every job completes and duplicate fetches return equal results,
+* the two worker slots keep their processes warm: with no crash
+  fault injected, at most ``--jobs 2`` worker processes ever start,
 * the coalesced plan is semantically identical to a clean one,
 * SIGTERM produces a graceful drain: exit code 0 and a ``stopped``
   event whose counters show no cancelled work.
@@ -39,6 +41,8 @@ from repro.serve import connect_with_retry  # noqa: E402
 
 READY_DEADLINE_S = 60.0
 EXIT_DEADLINE_S = 120.0
+#: Worker slots of the served instance.
+JOBS = 2
 
 
 class SmokeError(AssertionError):
@@ -48,6 +52,16 @@ class SmokeError(AssertionError):
 def _check(condition: bool, message: str) -> None:
     if not condition:
         raise SmokeError(message)
+
+
+def _check_warm_slots(counters: dict) -> None:
+    """No crash was injected, so no slot ever replaced its process."""
+    started = counters.get("workers_started", 0)
+    _check(
+        1 <= started <= JOBS,
+        f"workers_started={started} (expected 1..{JOBS}: one warm "
+        "process per slot)",
+    )
 
 
 def _spawn_server() -> tuple[subprocess.Popen, dict]:
@@ -64,7 +78,7 @@ def _spawn_server() -> tuple[subprocess.Popen, dict]:
             "--port",
             "0",
             "--jobs",
-            "2",
+            str(JOBS),
             "--queue-depth",
             "16",
         ],
@@ -136,6 +150,7 @@ def main() -> int:
                 counters["jobs_completed"] == 6,
                 f"jobs_completed={counters.get('jobs_completed')}",
             )
+            _check_warm_slots(counters)
             clean_ticket = client.submit("d695", 8, config)
             _check(not clean_ticket.deduped, "fault leaked out of identity")
             clean = client.result(clean_ticket.job_id, timeout_s=300)
@@ -155,11 +170,13 @@ def main() -> int:
             stopped["counters"].get("jobs_cancelled", 0) == 0,
             f"drain cancelled work: {stopped['counters']}",
         )
+        _check_warm_slots(stopped["counters"])
         print(
             "service smoke OK: 9 submissions, "
             f"{stopped['counters']['jobs_completed']} executions, "
             f"{stopped['counters']['jobs_deduped']} coalesced, "
-            "graceful drain"
+            f"{stopped['counters']['workers_started']} worker "
+            "processes, graceful drain"
         )
         return 0
     finally:

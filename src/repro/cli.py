@@ -645,7 +645,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--isolation",
         choices=["process", "thread"],
         default="process",
-        help="process: killable subprocess per attempt (default); "
+        help="process: one warm, killable subprocess per worker slot, "
+        "replaced after a timeout, cancel or crash (default); "
         "thread: in-process, no preemptive timeout",
     )
     serve.add_argument(

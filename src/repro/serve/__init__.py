@@ -1,15 +1,17 @@
 """Concurrent planning service: job queue, dedup, backpressure, transport.
 
-The service layer keeps one warm planning process resident -- wrapper
-LRU, lookup tables, and the on-disk analysis cache stay hot -- and
-feeds it a stream of co-optimization requests:
+The service layer keeps one warm planning process per worker slot
+resident -- interpreter start and imports are paid once per slot, and
+the on-disk analysis cache stays hot -- and feeds the slots a stream
+of co-optimization requests:
 
 * :mod:`repro.serve.jobs` -- the job state machine and the bounded,
   priority-ordered queue with explicit backpressure;
 * :mod:`repro.serve.protocol` -- the line-JSON wire format and the
   content fingerprint identical requests coalesce on;
-* :mod:`repro.serve.worker` -- per-attempt subprocess execution with
-  timeout, cancellation, and crash detection;
+* :mod:`repro.serve.worker` -- warm per-slot subprocess execution
+  with timeout, cancellation, and crash detection (a fault replaces
+  the slot's process);
 * :mod:`repro.serve.service` -- :class:`PlanningService`, the asyncio
   orchestrator (dedup, retry with backoff, graceful shutdown with
   queue persistence, :mod:`repro.obs` integration);

@@ -10,13 +10,16 @@ asyncio event loop:
   and hands them to a bounded worker-slot pool
   (:func:`repro.parallel.resolve_jobs` sizes it, so ``REPRO_JOBS``
   means the same thing here as everywhere else in the engine);
-* **execution** -- each attempt runs in a killable subprocess
-  (:mod:`repro.serve.worker`), with per-job timeout, cooperative
-  cancellation, and bounded retry with exponential backoff for worker
-  *crashes* (deterministic worker errors are not retried);
+* **execution** -- each worker slot owns one warm, killable
+  subprocess (:class:`repro.serve.worker.WorkerSlot`), spawned on the
+  slot's first attempt and reused from job to job; an attempt checks a
+  slot out, with per-job timeout, cooperative cancellation, and bounded
+  retry with exponential backoff for worker *crashes* (deterministic
+  worker errors are not retried).  A timeout, cancel or crash replaces
+  the slot's process (counted as ``workers_started``);
 * **shutdown** (:meth:`shutdown`) -- stops admission, lets in-flight
-  jobs drain, and persists still-queued jobs to ``state_dir`` so a
-  restarted service resubmits them.
+  jobs drain, persists still-queued jobs to ``state_dir`` so a
+  restarted service resubmits them, and closes every worker slot.
 
 Everything the service observes is mirrored three ways: an
 authoritative plain-``dict`` counter set served by :meth:`stats`
@@ -40,14 +43,16 @@ the job.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 import os
+import queue
 import tempfile
 import time
 from collections import Counter, deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterator, Mapping
 
 from repro import obs
 from repro.obs.logging import bind_request_id, get_logger, new_request_id
@@ -64,7 +69,7 @@ from repro.serve.errors import (
 from repro.serve.jobs import Job, JobQueue, JobState, QueueFull
 from repro.serve.protocol import PlanRequest
 from repro.serve.telemetry import ServiceTelemetry, health_view
-from repro.serve.worker import run_job_in_process, run_job_inline
+from repro.serve.worker import WorkerSlot, run_job_inline
 
 #: Persistence schema of the queue state file.
 STATE_SCHEMA_VERSION = 1
@@ -94,9 +99,9 @@ class ServiceSettings:
     retry_cap_s: float = 5.0
     #: Deadline for jobs that do not carry their own ``timeout_s``.
     default_timeout_s: float | None = None
-    #: ``"process"`` (killable subprocess per attempt) or ``"thread"``
-    #: (in-process; no preemptive timeout/kill -- degraded platforms
-    #: and fast tests only).
+    #: ``"process"`` (one warm, killable subprocess per worker slot) or
+    #: ``"thread"`` (in-process; no preemptive timeout/kill -- degraded
+    #: platforms and fast tests only).
     isolation: str = "process"
     #: Directory for queue persistence across restarts (``None``: off).
     state_dir: str | None = None
@@ -144,12 +149,24 @@ class PlanningService:
         self.telemetry = ServiceTelemetry(enabled=self.settings.telemetry)
         self.started_at = time.time()
         self._job_seconds_total = 0.0
-        if runner is not None:
-            self._runner = runner
-        elif self.settings.isolation == "process":
-            self._runner = run_job_in_process
-        else:
+        #: Process-isolation worker slots; an injected ``runner`` or
+        #: thread isolation runs attempts without them.
+        self.slots: tuple[WorkerSlot, ...] = ()
+        self._runner: Runner | None = runner
+        if runner is None and self.settings.isolation == "thread":
             self._runner = run_job_inline
+        elif runner is None:
+            self.slots = tuple(
+                WorkerSlot(on_spawn=self._worker_spawned)
+                for _ in range(self.workers)
+            )
+        #: Last returned, first reused: a lightly loaded service keeps
+        #: one process warm instead of rotating through every slot.
+        self._idle_slots: queue.LifoQueue[WorkerSlot] = queue.LifoQueue()
+        for slot in self.slots:
+            self._idle_slots.put(slot)
+        #: Set by :meth:`start`; worker threads post counts to it.
+        self._loop: asyncio.AbstractEventLoop
         self._slots = asyncio.Semaphore(self.workers)
         self._dispatcher: asyncio.Task[None] | None = None
         self._worker_tasks: set[asyncio.Task[None]] = set()
@@ -164,6 +181,7 @@ class PlanningService:
 
         Returns the number of restored jobs.
         """
+        self._loop = asyncio.get_running_loop()
         restored = self._restore_queue()
         self._accepting = True
         self._dispatcher = asyncio.create_task(
@@ -201,6 +219,9 @@ class PlanningService:
             self._dispatcher = None
         if self._worker_tasks:
             await asyncio.gather(*self._worker_tasks, return_exceptions=True)
+        await asyncio.gather(
+            *(asyncio.to_thread(slot.close) for slot in self.slots)
+        )
         persisted = self._persist_queue()
         _LOG.info(
             "service-shutdown",
@@ -522,8 +543,8 @@ class PlanningService:
             width=job.request.width,
             attempt=attempt,
             request_id=job.request_id,
-        ):
-            outcome = self._runner(
+        ), self._checkout() as runner:
+            outcome = runner(
                 payload,
                 timeout_s=timeout_s,
                 should_cancel=lambda: job.cancel_requested,
@@ -533,6 +554,26 @@ class PlanningService:
                 self._absorb_worker_telemetry(job, shipped)
                 return str(text)
             return str(outcome)
+
+    @contextlib.contextmanager
+    def _checkout(self) -> Iterator[Runner]:
+        """The attempt runner: an idle worker slot's, or the fixed one.
+
+        The slot semaphore admits at most ``workers`` jobs at once, so
+        an idle slot always exists when process isolation is on.
+        """
+        if self._runner is not None:
+            yield self._runner
+            return
+        slot = self._idle_slots.get_nowait()
+        try:
+            yield slot.run
+        finally:
+            self._idle_slots.put(slot)
+
+    def _worker_spawned(self) -> None:
+        """Count a slot's (re)spawn; called on the attempt's thread."""
+        self._loop.call_soon_threadsafe(self._count, "workers_started")
 
     def _record_queue_wait(self, job: Job) -> None:
         """Retrospective ``serve/queued`` span (obs-enabled runs only).

@@ -50,6 +50,7 @@ METRIC_HELP: dict[str, str] = {
     "serve.jobs_timed_out": "Jobs terminated at their deadline",
     "serve.jobs_cancelled": "Jobs cancelled before completion",
     "serve.jobs_restored": "Jobs restored from persisted queue state",
+    "serve.workers_started": "Worker processes spawned, replacements included",
     "serve.queue_depth": "Jobs queued and waiting for a worker slot",
     "serve.requests": "Protocol requests handled, by outcome",
     "serve.job_seconds": "Worker execution latency per attempt chain",

@@ -10,6 +10,8 @@ differ.
 Thread isolation is used so the service worker shares this process's
 analysis memo -- the serialization/transport path under test is
 identical to process mode, which the fault and server tests cover.
+One process-mode case serves a sequence of designs through a single
+warm worker slot, proving the per-job reset leaves no state behind.
 """
 
 from __future__ import annotations
@@ -26,7 +28,9 @@ from repro.serve import (
     PlanRequest,
     ServiceSettings,
 )
+from repro.serve.worker import process_isolation_available
 from repro.soc.industrial import load_design
+from repro.verify import verify_plan
 
 # d695 (the academic benchmark) and d2758 (the ITC'02-class design).
 DESIGNS = ("d695", "d2758")
@@ -103,3 +107,42 @@ def test_perf_knobs_coalesce_onto_identical_plan():
     served = asyncio.run(scenario())
     direct = plan(load_design("d695"), 16, RunConfig(jobs=1))
     _assert_same_plan(served, direct)
+
+
+#: Alternating designs and widths, revisiting d695 at a new width last.
+WARM_SLOT_SEQUENCE = (
+    ("d695", 32),
+    ("d2758", 16),
+    ("System1", 24),
+    ("d695", 16),
+)
+
+
+@pytest.mark.skipif(
+    not process_isolation_available(),
+    reason="multiprocessing spawn unavailable on this platform",
+)
+def test_one_warm_slot_serves_a_design_sequence_like_fresh_plans():
+    config = RunConfig()
+
+    async def scenario():
+        service = PlanningService(
+            ServiceSettings(workers=1, isolation="process")
+        )
+        await service.start()
+        served = []
+        for design, width in WARM_SLOT_SEQUENCE:
+            job, _ = service.submit(PlanRequest(design, width, config))
+            done = await service.wait(job.id, timeout=600)
+            assert done.state is JobState.DONE, done.error
+            served.append(result_from_json(done.result_json))
+        await service.shutdown(drain=True)
+        return service, served
+
+    service, served = asyncio.run(scenario())
+    # Every request ran in the same worker process.
+    assert service.counters["workers_started"] == 1
+    for (design, width), result in zip(WARM_SLOT_SEQUENCE, served):
+        soc = load_design(design)
+        assert verify_plan(result, soc, config=config).ok
+        _assert_same_plan(result, plan(soc, width, config))

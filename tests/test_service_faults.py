@@ -12,10 +12,14 @@ from __future__ import annotations
 
 import asyncio
 import json
+import multiprocessing
+import os
+import sys
 import time
 
 import pytest
 
+from repro import obs
 from repro.pipeline import RunConfig
 from repro.serve import (
     JobState,
@@ -155,6 +159,133 @@ class TestTimeoutAndCancel:
         done = asyncio.run(scenario())
         assert done.state is JobState.CANCELLED
         assert time.monotonic() - started < 25  # not the full 30 s sleep
+
+
+async def _wait_running(job) -> None:
+    deadline = time.monotonic() + 60
+    while job.state is not JobState.RUNNING:
+        assert time.monotonic() < deadline
+        await asyncio.sleep(0.02)
+
+
+class TestWarmSlots:
+    """One long-lived worker process per slot, replaced only on faults."""
+
+    def test_consecutive_jobs_share_one_worker_process(self):
+        async def scenario():
+            service = PlanningService(_settings())
+            await service.start()
+            slot_pids = []
+            for width in (8, 10):
+                job, _ = service.submit(_request(width=width))
+                done = await service.wait(job.id, timeout=300)
+                assert done.state is JobState.DONE, done.error
+                slot_pids.append(service.slots[0].pid)
+            await service.shutdown(drain=True)
+            return service, slot_pids
+
+        with obs.enabled() as active:
+            service, slot_pids = asyncio.run(scenario())
+        plan_pids = [
+            span.pid for span in active.tracer.spans
+            if span.name == "worker/plan"
+        ]
+        assert len(plan_pids) == 2
+        assert plan_pids[0] != os.getpid()
+        assert plan_pids == slot_pids == [plan_pids[0]] * 2
+        assert service.counters["workers_started"] == 1
+
+    @pytest.mark.parametrize("fault", ["timeout", "cancel", "crash"])
+    def test_fault_replaces_the_slot_process(self, fault):
+        async def scenario():
+            service = PlanningService(_settings())
+            await service.start()
+            warm, _ = service.submit(_request(width=8))
+            warm = await service.wait(warm.id, timeout=300)
+            assert warm.state is JobState.DONE, warm.error
+            before = service.slots[0].pid
+            if fault == "timeout":
+                faulty, _ = service.submit(
+                    _request(width=10, fault={"sleep_s": 30}, timeout_s=0.5)
+                )
+            elif fault == "cancel":
+                faulty, _ = service.submit(
+                    _request(width=10, fault={"sleep_s": 30})
+                )
+                await _wait_running(faulty)
+                service.cancel(faulty.id)
+            else:
+                faulty, _ = service.submit(
+                    _request(width=10, fault={"exit_on_attempts": [0]})
+                )
+            faulty = await service.wait(faulty.id, timeout=300)
+            follower, _ = service.submit(_request(width=12))
+            follower = await service.wait(follower.id, timeout=300)
+            after = service.slots[0].pid
+            await service.shutdown(drain=True)
+            return service, faulty, follower, before, after
+
+        service, faulty, follower, before, after = asyncio.run(scenario())
+        expected = {
+            "timeout": JobState.FAILED,
+            "cancel": JobState.CANCELLED,
+            "crash": JobState.DONE,  # the retry ran on the replacement
+        }[fault]
+        assert faulty.state is expected, faulty.error
+        assert before is not None and after is not None
+        assert after != before
+        assert follower.state is JobState.DONE, follower.error
+        assert service.counters["workers_started"] == 2
+
+    def test_concurrent_slots_never_share_a_process(self):
+        """More slots than cores, more jobs than slots: every job gets
+        its own request's result back, and each slot starts once."""
+        widths = list(range(8, 26, 2))
+
+        async def scenario():
+            service = PlanningService(_settings(workers=3, max_depth=16))
+            await service.start()
+            jobs = [service.submit(_request(width=w))[0] for w in widths]
+            done = [await service.wait(job.id, timeout=300) for job in jobs]
+            await service.shutdown(drain=True)
+            return service, done
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            service, done = asyncio.run(scenario())
+        finally:
+            sys.setswitchinterval(interval)
+        for width, job in zip(widths, done):
+            assert job.state is JobState.DONE, job.error
+            result = json.loads(job.result_json)
+            assert result["optimizer"]["width_budget"] == width
+        assert service.counters["workers_started"] == 3
+
+    @pytest.mark.parametrize("drain", [True, False])
+    def test_shutdown_leaves_no_worker_processes(self, drain):
+        async def scenario():
+            service = PlanningService(_settings(workers=2))
+            await service.start()
+            first, _ = service.submit(_request(width=8))
+            await service.wait(first.id, timeout=300)
+            running, _ = service.submit(
+                _request(width=10, fault={"sleep_s": 1.0 if drain else 30})
+            )
+            await _wait_running(running)
+            live = {child.pid for child in multiprocessing.active_children()}
+            slot_pids = {s.pid for s in service.slots if s.pid is not None}
+            await service.shutdown(drain=drain)
+            return running, live, slot_pids
+
+        running, live, slot_pids = asyncio.run(scenario())
+        # The warm processes were alive between jobs...
+        assert slot_pids and slot_pids <= live
+        # ...and shutdown stopped and reaped every one of them.
+        assert multiprocessing.active_children() == []
+        assert running.state is (
+            JobState.DONE if drain else JobState.CANCELLED
+        ), running.error
 
 
 class TestQueuePersistence:
