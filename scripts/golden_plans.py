@@ -13,6 +13,8 @@ The corpus covers the six paper SOCs plus ``synth20``:
 
 * at W in {16, 32, 64}: the default request (``auto``), the greedy
   search, the rectangle packer, and the no-TDC baseline;
+* at W = 48: the default request only, whose exhaustive search runs
+  over a 7,760-partition list;
 * at W = 16 only: a power budget of 1.5x the largest core power, and
   the per-TAM decompressor flow of Figure 4(b).
 
@@ -42,11 +44,14 @@ BUDGET_FACTOR = 1.5
 SWEEP_KINDS = ("auto", "greedy", "packing", "none")
 NARROW_KINDS = ("budget", "per-tam")
 NARROW_WIDTH = 16
+#: Widths planned with the default request only.
+AUTO_WIDTHS = (48,)
 
 
 def requests(design: str) -> list[tuple[str, int]]:
     """The ``(kind, width)`` requests planned for one design."""
     sweep = [(kind, width) for width in WIDTHS for kind in SWEEP_KINDS]
+    sweep += [("auto", width) for width in AUTO_WIDTHS]
     return sweep + [(kind, NARROW_WIDTH) for kind in NARROW_KINDS]
 
 

@@ -13,6 +13,8 @@ time is the largest TAM finish time (the makespan).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
@@ -166,72 +168,191 @@ def schedule_cores_indexed(
     )
 
 
+#: Test time of the padding column: a padded TAM keeps load 0, so its
+#: finish is this value, never the first minimum and never an overflow.
+_PAD_TIME = np.iinfo(np.int64).max
+
+#: Core steps between two pruning passes against the incumbent.
+PRUNE_EVERY = 4
+
+
+@dataclass(frozen=True)
+class PartitionMatrix:
+    """A partition list padded to one ``(partitions, tams)`` matrix.
+
+    ``width_col`` indexes ``widths`` (the distinct widths, ascending);
+    a partition with fewer TAMs than the widest list entry is padded
+    with column ``len(widths)``.  Real TAMs keep their column position,
+    so the first-minimum tie-break is the lowest TAM index.
+    """
+
+    partitions: tuple[tuple[int, ...], ...]
+    widths: np.ndarray
+    width_col: np.ndarray
+    num_tams: np.ndarray
+    #: Distinct widest widths (ascending) and each row's index into them.
+    widest: tuple[int, ...]
+    widest_row: np.ndarray
+    #: First position of every partition in the list.
+    index: dict[tuple[int, ...], int]
+
+
+@lru_cache(maxsize=16)
+def partition_matrix(
+    partitions: tuple[tuple[int, ...], ...],
+) -> PartitionMatrix:
+    """Validate, pad and index a partition list once (memoized)."""
+    counts = np.fromiter(map(len, partitions), np.int64, len(partitions))
+    flat = np.fromiter(
+        chain.from_iterable(partitions), np.int64, int(counts.sum())
+    )
+    offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    bad = counts == 0
+    bad[counts > 0] = np.minimum.reduceat(flat, offsets[counts > 0]) < 1
+    if bad.any():
+        first = partitions[int(np.argmax(bad))]
+        if not first:
+            raise ValueError("at least one TAM is required")
+        raise ValueError(f"TAM widths must be >= 1, got {tuple(first)}")
+
+    widths, flat_col = np.unique(flat, return_inverse=True)
+    width_col = np.full((len(partitions), int(counts.max())), len(widths))
+    width_col[np.arange(width_col.shape[1]) < counts[:, None]] = flat_col
+    widest, widest_row = np.unique(
+        np.maximum.reduceat(flat, offsets), return_inverse=True
+    )
+    index: dict[tuple[int, ...], int] = {}
+    for position, partition in enumerate(partitions):
+        index.setdefault(partition, position)
+    # Every caller shares the memoized arrays.
+    for array in (widths, width_col, counts, widest_row):
+        array.flags.writeable = False
+    return PartitionMatrix(
+        partitions=partitions,
+        widths=widths,
+        width_col=width_col,
+        num_tams=counts,
+        widest=tuple(int(w) for w in widest),
+        widest_row=widest_row,
+        index=index,
+    )
+
+
 def schedule_makespans_batch(
-    table: TimeTable, partitions: Sequence[tuple[int, ...]]
+    table: TimeTable,
+    partitions: Sequence[tuple[int, ...]],
+    incumbent: int | None = None,
 ) -> np.ndarray:
     """Makespan of every partition, vectorized across partitions.
 
-    Returns an int64 array aligned with ``partitions``, equal to
+    Without ``incumbent`` it returns an int64 array aligned with
+    ``partitions``, equal to
     ``[schedule_cores_indexed(table, p).makespan for p in partitions]``
     (pinned by the differential suite).  The list heuristic is
     sequential over cores but embarrassingly parallel over partitions:
-    grouping the partitions by (TAM count, widest width) makes every
-    partition in a group place its cores in the *same* order, so the
-    greedy placement advances core by core in lockstep over a
-    ``(partitions, tams)`` load matrix.
+    every partition advances one core per step in lockstep over a
+    padded ``(partitions, tams)`` load matrix, each placing its cores
+    in its own ``table.order(widest)``.
 
-    Per core the lexicographic key ``(makespan, finish, tam)`` is
-    minimized in two passes -- mask to the minimum makespan, then take
-    the first minimum finish -- because ``argmin`` resolving ties to the
-    first position is exactly the lowest-TAM tie-break.
+    Per core the scalar key ``(makespan, finish, tam)`` is minimized.
+    ``makespan = max(current, finish)`` never decreases as ``finish``
+    grows, so that key orders the TAMs exactly as ``(finish, tam)``
+    does: the choice is the first minimum finish, which ``argmin``
+    gives directly.
+
+    With ``incumbent`` (a position in ``partitions``) the kernel prunes
+    against ``UB``, the incumbent's exact makespan: every
+    :data:`PRUNE_EVERY` core steps it drops the rows whose lower bound
+    -- the current makespan, or the final mean TAM load -- exceeds
+    ``UB``, or merely reaches it after the incumbent's position.  A
+    dropped row reports that lower bound, so every entry is at most
+    the exact makespan and the rows that can be the first minimum are
+    exact: ``argmin`` and ``min`` are those of the exact array.
     """
-    makespans = np.zeros(len(partitions), dtype=np.int64)
-    groups: dict[tuple[int, int], list[int]] = {}
-    for position, widths in enumerate(partitions):
-        if not widths:
-            raise ValueError("at least one TAM is required")
-        if any(w < 1 for w in widths):
-            raise ValueError(f"TAM widths must be >= 1, got {tuple(widths)}")
-        groups.setdefault((len(widths), max(widths)), []).append(position)
-
+    if not len(partitions):
+        return np.zeros(0, dtype=np.int64)
+    matrix = partition_matrix(tuple(partitions))
     with obs.span("kernel.schedule-batch", partitions=len(partitions)):
-        _schedule_groups(table, partitions, groups, makespans)
-    return makespans
+        return _lockstep(table, matrix, incumbent)
 
 
-def _schedule_groups(
-    table: TimeTable,
-    partitions: Sequence[tuple[int, ...]],
-    groups: dict[tuple[int, int], list[int]],
-    makespans: np.ndarray,
-) -> None:
-    sentinel = np.iinfo(np.int64).max
-    for (num_tams, widest), positions in groups.items():
-        widths_arr = np.array(
-            [partitions[p] for p in positions], dtype=np.int64
-        )
-        unique_widths = np.unique(widths_arr)
-        # (cores, unique widths) time matrix; resolving the rows up
-        # front also triggers any lazy fills behind ``time_of`` once.
-        time_mat = np.array(
-            [table.row(int(w)) for w in unique_widths], dtype=np.int64
-        ).T
-        width_idx = np.searchsorted(unique_widths, widths_arr)
+def _lockstep(
+    table: TimeTable, matrix: PartitionMatrix, incumbent: int | None
+) -> np.ndarray:
+    cores = len(table.core_names)
+    # (widths + padding, cores) time matrix; resolving the rows up front
+    # also triggers any lazy fills behind ``time_of`` once.
+    times = np.empty((len(matrix.widths) + 1, cores), dtype=np.int64)
+    for column, width in enumerate(matrix.widths.tolist()):
+        times[column] = table.row(width)
+    times[-1] = _PAD_TIME
+    flat_times = times.ravel()
+    # (steps, distinct widest): the core each row places at each step.
+    orders = np.array(
+        [table.order(w) for w in matrix.widest], dtype=np.intp
+    ).reshape(len(matrix.widest), cores)
+    steps = orders.T.copy()
 
-        count = len(positions)
-        loads = np.zeros((count, num_tams), dtype=np.int64)
-        current = np.zeros(count, dtype=np.int64)
-        rows = np.arange(count)
-        for core in table.order(widest):
-            finish = loads + time_mat[core][width_idx]
-            span = np.maximum(current[:, None], finish)
-            span_min = span.min(axis=1, keepdims=True)
-            masked = np.where(span == span_min, finish, sentinel)
-            best = np.argmin(masked, axis=1)
-            chosen = finish[rows, best]
-            loads[rows, best] = chosen
-            current = np.maximum(current, chosen)
-        makespans[positions] = loads.max(axis=1)
+    out = np.empty(len(matrix.partitions), dtype=np.int64)
+    positions = np.arange(len(matrix.partitions))
+    offsets = matrix.width_col * cores
+    widest_row = matrix.widest_row
+    num_tams = matrix.num_tams
+    loads = np.zeros(offsets.shape, dtype=np.int64)
+    current = np.zeros(len(positions), dtype=np.int64)
+
+    if incumbent is not None:
+        if not 0 <= incumbent < len(matrix.partitions):
+            raise ValueError(f"incumbent {incumbent} is not a list position")
+        bound = schedule_cores_indexed(
+            table, matrix.partitions[incumbent]
+        ).makespan
+        rest = _remaining_bound(times[:-1], matrix, orders)
+
+    row_base = np.arange(len(positions)) * offsets.shape[1]
+    for step in range(cores):
+        if incumbent is not None and step % PRUNE_EVERY == 0:
+            total = loads.sum(axis=1) + rest[widest_row, step]
+            lower = np.maximum(current, -(-total // num_tams))
+            drop = lower > bound
+            drop |= (lower == bound) & (positions > incumbent)
+            if drop.any():
+                out[positions[drop]] = lower[drop]
+                keep = ~drop
+                positions = positions[keep]
+                offsets = offsets[keep]
+                widest_row = widest_row[keep]
+                num_tams = num_tams[keep]
+                loads = loads[keep]
+                current = current[keep]
+                row_base = row_base[: len(positions)]
+        finish = flat_times[offsets + steps[step][widest_row, None]]
+        finish += loads
+        picked = finish.argmin(axis=1)
+        picked += row_base
+        chosen = finish.ravel()[picked]
+        loads.ravel()[picked] = chosen
+        np.maximum(current, chosen, out=current)
+    out[positions] = current
+    return out
+
+
+def _remaining_bound(
+    times: np.ndarray, matrix: PartitionMatrix, orders: np.ndarray
+) -> np.ndarray:
+    """``rest[d, s]``: least total time of the cores from step ``s`` on.
+
+    Row ``d`` is widest width ``matrix.widest[d]``; each remaining core
+    costs at least its minimum over every listed width up to the widest
+    -- a prefix minimum over the ascending width rows, which stays a
+    bound although test time is not monotone in width.
+    """
+    cheapest = np.minimum.accumulate(times, axis=0)
+    cheapest = cheapest[np.searchsorted(matrix.widths, matrix.widest)]
+    ordered = np.take_along_axis(cheapest, orders, axis=1)
+    rest = np.zeros((len(matrix.widest), orders.shape[1] + 1), np.int64)
+    rest[:, :-1] = ordered[:, ::-1].cumsum(axis=1)[:, ::-1]
+    return rest
 
 
 def build_architecture(

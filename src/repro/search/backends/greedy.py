@@ -14,41 +14,8 @@ from typing import Any, Callable, Mapping, Sequence
 from repro.core.scheduler import ScheduleOutcome
 from repro.flags import use_scalar_kernels
 from repro.search.evaluator import Evaluator
+from repro.search.moves import greedy_descent
 from repro.search.state import PartitionSearchResult, SearchSpace
-
-
-def greedy_moves(
-    widths: list[int], bottleneck: int, min_width: int
-) -> list[list[int]]:
-    """Candidate width vectors one greedy step away from ``widths``."""
-    candidates: list[list[int]] = []
-    w = widths[bottleneck]
-    if w >= 2 * min_width:
-        half = w // 2
-        split = widths[:bottleneck] + widths[bottleneck + 1 :] + [w - half, half]
-        candidates.append(split)
-    for donor in range(len(widths)):
-        if donor == bottleneck or widths[donor] <= min_width:
-            continue
-        shifted = list(widths)
-        shifted[donor] -= 1
-        shifted[bottleneck] += 1
-        candidates.append(shifted)
-    if len(widths) >= 2:
-        order = sorted(range(len(widths)), key=lambda i: widths[i])
-        a, b = order[0], order[1]
-        merged = [w for i, w in enumerate(widths) if i not in (a, b)]
-        merged.append(widths[a] + widths[b])
-        candidates.append(merged)
-    return candidates
-
-
-def bottleneck_tam(evaluator: Evaluator, outcome: ScheduleOutcome) -> int:
-    """The TAM with the largest summed test time (first on ties)."""
-    loads = [0] * len(outcome.widths)
-    for index, tam in enumerate(outcome.assignment):
-        loads[tam] += evaluator.table.row(outcome.widths[tam])[index]
-    return max(range(len(loads)), key=lambda i: loads[i])
 
 
 class GreedyBackend:
@@ -63,23 +30,14 @@ class GreedyBackend:
             schedule = evaluator.schedule_scalar
         else:
             schedule = evaluator.schedule
-        best = schedule(space.single_tam)
-        improved = True
-        while improved:
-            improved = False
-            bottleneck = bottleneck_tam(evaluator, best)
-            for widths in greedy_moves(
-                list(best.widths), bottleneck, space.min_width
-            ):
-                if len(widths) > space.max_parts or any(
-                    w < space.min_width for w in widths
-                ):
-                    continue
-                outcome = schedule(sorted(widths, reverse=True))
-                if outcome.makespan < best.makespan:
-                    best = outcome
-                    improved = True
-                    break
+        best = greedy_descent(
+            schedule,
+            evaluator.table,
+            space.single_tam,
+            lambda widths: len(widths) <= space.max_parts
+            and widths[-1] >= space.min_width,
+            space.min_width,
+        )
         return PartitionSearchResult(
             outcome=best,
             partitions_evaluated=evaluator.evaluations,

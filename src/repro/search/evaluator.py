@@ -8,7 +8,8 @@ small API the backends drive:
 * :meth:`schedule` -- list-schedule a partition (memoized on the width
   vector; a memo hit still counts as an evaluation so the legacy
   ``partitions_evaluated`` numbers stay bit-identical);
-* :meth:`batch_makespans` -- the vectorized many-partitions kernel;
+* :meth:`batch_makespans` -- the vectorized many-partitions kernel,
+  pruned against a greedy incumbent (exact where it can win);
 * :meth:`makespan_of` -- cost of an explicit (widths, assignment)
   state, the joint-space evaluation the annealer and the evolutionary
   searcher need;
@@ -34,10 +35,12 @@ from repro.core.scheduler import (
     ScheduleOutcome,
     TimeFn,
     TimeTable,
+    partition_matrix,
     schedule_cores,
     schedule_cores_indexed,
     schedule_makespans_batch,
 )
+from repro.search.moves import greedy_descent
 from repro.search.state import SearchState
 
 #: ``volume_of(core_name, tam_width) -> test data volume`` (bits).
@@ -111,14 +114,29 @@ class Evaluator:
     def batch_makespans(
         self, partitions: Sequence[tuple[int, ...]]
     ) -> np.ndarray:
-        """Vectorized makespans of many partitions (one evaluation each)."""
+        """Makespans of many partitions (one evaluation each).
+
+        The batch kernel prunes against the greedy walk's best member
+        of the list, so only the entries that can be the first minimum
+        are exact; the rest are lower bounds.  The walk is not counted
+        and leaves the memo and ``best`` alone.
+        """
         self._count(len(partitions))
-        makespans = schedule_makespans_batch(self.table, partitions)
-        if len(partitions):
-            winner = int(np.argmin(makespans))
-            self._track(
-                schedule_cores_indexed(self.table, partitions[winner])
-            )
+        if not len(partitions):
+            return np.zeros(0, dtype=np.int64)
+        index = partition_matrix(tuple(partitions)).index
+        incumbent = greedy_descent(
+            lambda widths: schedule_cores_indexed(self.table, widths),
+            self.table,
+            partitions[0],
+            lambda widths: tuple(widths) in index,
+            min_width=1,
+        )
+        makespans = schedule_makespans_batch(
+            self.table, partitions, index[incumbent.widths]
+        )
+        winner = int(np.argmin(makespans))
+        self._track(schedule_cores_indexed(self.table, partitions[winner]))
         return makespans
 
     def makespan_of(

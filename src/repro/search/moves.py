@@ -1,6 +1,12 @@
-"""The neighborhood moves of the joint (partition, assignment) space.
+"""The neighborhood moves of the search spaces.
 
-Four moves, drawn uniformly, exactly as the original annealer did:
+The greedy partition walk (:func:`greedy_descent`): split, shift and
+merge around the bottleneck TAM, take the first strict improvement and
+repeat.  The greedy backend runs it over the whole space; the
+exhaustive search runs it over its partition list for an incumbent.
+
+The annealer's joint (partition, assignment) space has four moves,
+drawn uniformly, exactly as the original annealer did:
 
 ========  =========  ====================================================
 index     name       effect
@@ -26,10 +32,78 @@ currently homed on the split TAM.  Do not reorder draws.
 
 from __future__ import annotations
 
+from typing import Callable, Sequence
+
 import numpy as np
+
+from repro.core.scheduler import ScheduleOutcome, TimeTable
 
 #: Move index -> name, for labels and study-store records.
 MOVE_NAMES = ("reassign", "shift", "split", "merge")
+
+
+def greedy_moves(
+    widths: list[int], bottleneck: int, min_width: int
+) -> list[list[int]]:
+    """Candidate width vectors one greedy step away from ``widths``."""
+    candidates: list[list[int]] = []
+    w = widths[bottleneck]
+    if w >= 2 * min_width:
+        half = w // 2
+        split = widths[:bottleneck] + widths[bottleneck + 1 :] + [w - half, half]
+        candidates.append(split)
+    for donor in range(len(widths)):
+        if donor == bottleneck or widths[donor] <= min_width:
+            continue
+        shifted = list(widths)
+        shifted[donor] -= 1
+        shifted[bottleneck] += 1
+        candidates.append(shifted)
+    if len(widths) >= 2:
+        order = sorted(range(len(widths)), key=lambda i: widths[i])
+        a, b = order[0], order[1]
+        merged = [w for i, w in enumerate(widths) if i not in (a, b)]
+        merged.append(widths[a] + widths[b])
+        candidates.append(merged)
+    return candidates
+
+
+def bottleneck_tam(table: TimeTable, outcome: ScheduleOutcome) -> int:
+    """The TAM with the largest summed test time (first on ties)."""
+    loads = [0] * len(outcome.widths)
+    for index, tam in enumerate(outcome.assignment):
+        loads[tam] += table.row(outcome.widths[tam])[index]
+    return max(range(len(loads)), key=lambda i: loads[i])
+
+
+def greedy_descent(
+    schedule: Callable[[Sequence[int]], ScheduleOutcome],
+    table: TimeTable,
+    start: Sequence[int],
+    admit: Callable[[list[int]], bool],
+    min_width: int,
+) -> ScheduleOutcome:
+    """Walk from ``start`` to the first strict improvement, repeatedly.
+
+    Each candidate of :func:`greedy_moves` is sorted non-increasing and
+    scheduled only if ``admit`` accepts it; the walk stops when no
+    admitted candidate beats the best makespan.
+    """
+    best = schedule(start)
+    improved = True
+    while improved:
+        improved = False
+        bottleneck = bottleneck_tam(table, best)
+        for widths in greedy_moves(list(best.widths), bottleneck, min_width):
+            widths.sort(reverse=True)
+            if not admit(widths):
+                continue
+            outcome = schedule(widths)
+            if outcome.makespan < best.makespan:
+                best = outcome
+                improved = True
+                break
+    return best
 
 
 def propose_move(

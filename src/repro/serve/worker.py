@@ -120,17 +120,20 @@ def reset_job_state() -> None:
     """Return a warm child to a fresh child's in-process cache state.
 
     Drops the analysis memo (not the disk cache), the wrapper-design
-    memo and the partition list cache, then collects garbage.  Keeping
-    them warm across designs raised the serving process tree's peak RSS
-    from 111 MB to 166 MB on the benchmark's distinct-design load.
+    memo and the partition list and matrix caches, then collects
+    garbage.  Keeping them warm across designs raised the serving
+    process tree's peak RSS from 111 MB to 166 MB on the benchmark's
+    distinct-design load.
     """
     from repro.core.partition import partitions_list
+    from repro.core.scheduler import partition_matrix
     from repro.explore.dse import clear_analysis_cache
     from repro.wrapper.design import clear_wrapper_design_cache
 
     clear_analysis_cache()
     clear_wrapper_design_cache()
     partitions_list.cache_clear()
+    partition_matrix.cache_clear()
     gc.collect()
 
 

@@ -25,7 +25,7 @@ def test_corpus_covers_every_request():
         assert set(CORPUS[design]) == {
             f"{kind}@{width}" for kind, width in golden.requests(design)
         }
-    assert sum(len(entries) for entries in CORPUS.values()) == 98
+    assert sum(len(entries) for entries in CORPUS.values()) == 105
 
 
 @pytest.mark.parametrize("design", golden.DESIGNS)

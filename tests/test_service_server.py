@@ -75,20 +75,24 @@ def _server(*extra_args: str):
     finally:
         if proc.poll() is None:
             proc.terminate()
-            try:
-                proc.wait(timeout=EXIT_DEADLINE_S)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait(timeout=10)
+        # Drains and closes both pipes, whether or not the test stopped
+        # the server itself.
+        try:
+            proc.communicate(timeout=EXIT_DEADLINE_S)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.communicate(timeout=10)
 
 
 def _wait_exit(proc: subprocess.Popen) -> tuple[int, str]:
+    """Wait for the server to exit; return its code and drained stderr."""
     try:
-        proc.wait(timeout=EXIT_DEADLINE_S)
+        _, stderr = proc.communicate(timeout=EXIT_DEADLINE_S)
     except subprocess.TimeoutExpired:
         proc.kill()
+        proc.communicate(timeout=10)
         raise
-    return proc.returncode, proc.stderr.read()
+    return proc.returncode, stderr
 
 
 class TestProtocolSmoke:
@@ -206,8 +210,7 @@ class TestConcurrencyAndDedup:
 
 class TestGracefulShutdown:
     def test_sigterm_drains_inflight_job(self):
-        proc, ready = _spawn_server("--jobs", "1")
-        try:
+        with _server("--jobs", "1") as (proc, ready):
             with connect_with_retry(ready["host"], ready["port"]) as client:
                 ticket = client.submit(
                     "d695",
@@ -230,21 +233,12 @@ class TestGracefulShutdown:
             # The in-flight job was drained, not killed.
             assert stopped["counters"]["jobs_completed"] == 1
             assert stopped["counters"].get("jobs_cancelled", 0) == 0
-        finally:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait(timeout=10)
 
     def test_shutdown_op_exits_zero(self):
-        proc, ready = _spawn_server("--isolation", "thread", "--jobs", "1")
-        try:
+        with _server("--isolation", "thread", "--jobs", "1") as (proc, ready):
             with connect_with_retry(ready["host"], ready["port"]) as client:
                 response = client.shutdown()
                 assert response["stopping"] is True
             returncode, stderr = _wait_exit(proc)
             assert returncode == 0
             assert '"event": "stopped"' in stderr
-        finally:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait(timeout=10)

@@ -31,6 +31,7 @@ import random
 import numpy as np
 import pytest
 
+from _legacy_search import legacy_exhaustive
 from repro.compression.cubes import generate_cubes
 from repro.compression.estimator import (
     estimate_codewords,
@@ -47,6 +48,7 @@ from repro.compression.selective import slice_costs, slice_costs_reference
 from repro.core.partition import iter_partitions, partitions_list
 from repro.core.scheduler import (
     TimeTable,
+    partition_matrix,
     schedule_cores,
     schedule_cores_indexed,
     schedule_makespans_batch,
@@ -54,8 +56,10 @@ from repro.core.scheduler import (
 from repro.explore.dse import analysis_for, clear_analysis_cache
 from repro.pipeline import RunConfig, plan
 from repro.pipeline.tables import LookupTables
-from repro.search import run_search
+from repro.search import Evaluator, run_search
+from repro.serve.worker import reset_job_state
 from repro.soc.industrial import load_design
+from repro.soc.synthetic import synthetic_soc
 from repro.verify.fuzz import random_core, random_soc
 from repro.verify.invariants import verify_plan
 from repro.wrapper.design import (
@@ -311,6 +315,106 @@ class TestSchedulerDifferential:
             scalar = schedule_cores(names, widths, time_of)
             assert scalar == schedule_cores_indexed(table, widths)
             assert scalar.makespan == makespan, widths
+
+
+def _soc_time_of(soc):
+    tables = LookupTables(
+        {core.name: analysis_for(core) for core in soc.cores}, "per-core"
+    )
+    return [core.name for core in soc.cores], tables.time_of
+
+
+def _assert_pruned_exact_where_it_counts(table, parts, incumbent):
+    """Pruned entries bound the exact ones; the first minimum is kept."""
+    exact = schedule_makespans_batch(table, parts)
+    pruned = schedule_makespans_batch(table, parts, incumbent)
+    assert (pruned <= exact).all()
+    assert int(np.argmin(pruned)) == int(np.argmin(exact))
+    assert pruned.min() == exact.min()
+    assert pruned[incumbent] == exact[incumbent]
+
+
+#: Synthetic SOCs of the warm benchmark's sizes, each at two widths.
+SYNTHETIC_CASES = [
+    (cores, width) for cores in (80, 180) for width in (32, 48)
+]
+
+
+class TestPrunedBatch:
+    """The incumbent-pruned batch kernel against its exact mode."""
+
+    def test_random_tables(self):
+        """Non-monotone random tables, ``min_width > 1`` lists, and the
+        incumbent at the first, the last and a random position."""
+        for seed in range(FUZZ_SEEDS):
+            rng = random.Random(80_000 + seed)
+            names, time_of = _random_table(rng)
+            table = TimeTable(names, time_of)
+            total = rng.randint(1, 32)
+            min_width = rng.randint(1, max(1, total // 3))
+            parts = partitions_list(total, rng.randint(1, 6), min_width)
+            for incumbent in {0, len(parts) - 1, rng.randrange(len(parts))}:
+                _assert_pruned_exact_where_it_counts(table, parts, incumbent)
+
+    @pytest.mark.parametrize("min_width", [2, 3])
+    def test_min_width_lists(self, min_width):
+        for seed in range(FUZZ_SEEDS):
+            rng = random.Random(81_000 + seed)
+            names, time_of = _random_table(rng)
+            table = TimeTable(names, time_of)
+            parts = partitions_list(rng.randint(8, 32), 6, min_width)
+            for incumbent in (0, len(parts) - 1):
+                _assert_pruned_exact_where_it_counts(table, parts, incumbent)
+
+    @pytest.mark.parametrize("width", [16, 32])
+    def test_d695_tables(self, width):
+        names, time_of = _soc_time_of(load_design("d695"))
+        table = TimeTable(names, time_of)
+        parts = partitions_list(width, 6, 1)
+        for incumbent in (0, len(parts) - 1, len(parts) // 2):
+            _assert_pruned_exact_where_it_counts(table, parts, incumbent)
+
+    @pytest.mark.parametrize("cores,width", SYNTHETIC_CASES)
+    def test_synthetic_tables(self, cores, width):
+        names, time_of = _soc_time_of(synthetic_soc(cores, seed=cores))
+        table = TimeTable(names, time_of)
+        parts = partitions_list(width, 6, 1)
+        for incumbent in (0, len(parts) - 1):
+            _assert_pruned_exact_where_it_counts(table, parts, incumbent)
+        # The evaluator's own incumbent, from the greedy walk.
+        exact = schedule_makespans_batch(table, parts)
+        evaluator = Evaluator(names, time_of)
+        pruned = evaluator.batch_makespans(parts)
+        assert (pruned <= exact).all()
+        assert int(np.argmin(pruned)) == int(np.argmin(exact))
+        assert pruned.min() == exact.min()
+        assert evaluator.evaluations == len(parts)
+        assert evaluator.best == schedule_cores_indexed(
+            table, parts[int(np.argmin(exact))]
+        )
+
+    @pytest.mark.parametrize("cores", [80, 180])
+    def test_exhaustive_search_matches_legacy(self, cores):
+        names, time_of = _soc_time_of(synthetic_soc(cores, seed=cores))
+        for width in (32, 48):
+            fast = run_search(names, width, time_of, strategy="exhaustive")
+            legacy = legacy_exhaustive(names, width, time_of, 6, 1)
+            assert fast.outcome == legacy.outcome, width
+            assert fast.partitions_evaluated == legacy.partitions_evaluated
+
+    def test_incumbent_must_be_a_position(self):
+        table = TimeTable(["a"], lambda n, w: w)
+        with pytest.raises(ValueError):
+            schedule_makespans_batch(table, [(1,)], 1)
+        with pytest.raises(ValueError):
+            schedule_makespans_batch(table, [(1,)], -1)
+
+
+def test_reset_job_state_empties_partition_matrix_cache():
+    partition_matrix(partitions_list(12, 3, 1))
+    assert partition_matrix.cache_info().currsize > 0
+    reset_job_state()
+    assert partition_matrix.cache_info().currsize == 0
 
 
 def test_partitions_list_matches_iterator():
